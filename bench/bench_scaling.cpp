@@ -5,6 +5,13 @@
 // the short-window MM reduction, and the combined solver; plus batch
 // throughput over the thread pool (instances solved in parallel).
 //
+// The end-to-end rows run the combined solver on the CLI's `mixed` family
+// (n = 100..1600, horizon 10n, two seeds) plus one dense single-component
+// `long` instance, and report how the TISE LP splits into time-disjoint
+// blocks, the LP span's share of the solve, and wall time per job. Counts
+// (blocks, pivots, calibrations) are gated metrics; every row must be
+// verifier-clean and satisfy the Theorem 12 chain.
+//
 // Timing protocol: each configuration is solved once to pick a repetition
 // count that fits a ~300 ms budget, then re-run best-of-reps on the steady
 // clock. Best-of (not mean) is the standard estimator for a quiet machine;
@@ -25,7 +32,9 @@
 #include "mm/mm.hpp"
 #include "shortwin/short_pipeline.hpp"
 #include "solver/ise_solver.hpp"
+#include "trace/trace.hpp"
 #include "util/thread_pool.hpp"
+#include "verify/verify.hpp"
 
 namespace {
 
@@ -227,8 +236,84 @@ int main(int argc, char** argv) {
            feasible ? "feasible" : "infeasible");
   }
 
+  // --- end to end: TISE LP block structure and per-job wall time --------
+  Table& e2e = bench.table(
+      "end_to_end_scaling",
+      {"instance", "n", "blocks", "largest", "lp-pivots", "lp-ms", "lp-share",
+       "solve-ms", "us/job", "calibrations", "verified", "thm12-chain"});
+  bool single_block = false;
+  const auto end_to_end = [&](const std::string& label, const Instance& instance) {
+    TraceContext trace("solve_ise");
+    IseSolverOptions options;
+    options.trace = &trace;
+    const auto solve_start = std::chrono::steady_clock::now();
+    const IseSolveResult traced = solve_ise(instance, options);
+    const double solve_ms =
+        static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                std::chrono::steady_clock::now() - solve_start)
+                                .count()) /
+        1e6;
+    const TraceContext* lw = trace.find("long_window");
+    const bool verified =
+        traced.feasible && verify_ise(instance, traced.schedule).ok();
+    // Theorem 12's internal chain: rounded <= 2 * LP, total = 2 * rounded.
+    const bool chain =
+        lw != nullptr &&
+        static_cast<double>(lw->counter("calibrations.rounded")) <=
+            2.0 * lw->value("lp.objective") + 1e-6 &&
+        lw->counter("calibrations.total") ==
+            2 * lw->counter("calibrations.rounded");
+    const Timing timing = measure([&] {
+      const IseSolveResult result = solve_ise(instance);
+      g_sink = static_cast<double>(result.total_calibrations);
+    });
+    const double lp_ms = lw ? static_cast<double>(lw->span_ns("lp")) / 1e6 : 0.0;
+    const std::int64_t blocks = lw ? lw->counter("lp.components") : 0;
+    const std::int64_t largest = lw ? lw->counter("lp.largest_component_jobs") : 0;
+    const std::int64_t pivots = lw ? lw->counter("lp.pivots") : 0;
+    const double us_per_job =
+        timing.best_ms * 1e3 / static_cast<double>(instance.size());
+    e2e.row().cell(label).cell(static_cast<int>(instance.size()))
+        .cell(blocks).cell(largest).cell(pivots).cell(lp_ms, 2)
+        .cell(lp_ms / solve_ms, 3).cell(solve_ms, 2)
+        .cell(us_per_job, 1)
+        .cell(static_cast<std::int64_t>(traced.total_calibrations))
+        .cell(std::string(verified ? "yes" : "NO"))
+        .cell(std::string(chain ? "yes" : "NO"));
+    bench.metric("e2e_" + label + "_lp_blocks", static_cast<double>(blocks));
+    bench.metric("e2e_" + label + "_largest_block_jobs",
+                 static_cast<double>(largest));
+    bench.metric("e2e_" + label + "_lp_pivots", static_cast<double>(pivots));
+    bench.metric("e2e_" + label + "_calibrations",
+                 static_cast<double>(traced.total_calibrations));
+    bench.metric("e2e_" + label + "_lp_time_share", lp_ms / solve_ms);
+    bench.metric("e2e_" + label + "_us_per_job", us_per_job);
+    bench.check("e2e " + label + " verifier-clean", verified);
+    bench.check("e2e " + label + " Theorem 12 chain", chain);
+    return blocks;
+  };
+  for (const int n : {100, 200, 400, 800, 1600}) {
+    for (const std::uint64_t seed : {1, 2}) {
+      GenParams params = scaling_params(n, seed);
+      params.horizon = 10 * static_cast<Time>(n);  // the CLI's mixed family
+      end_to_end("mixed_n" + std::to_string(n) + "_seed" + std::to_string(seed),
+                 generate_mixed(params, 0.5));
+    }
+  }
+  {
+    // Dense single-component LP: every window overlaps the next, so the
+    // split must leave the LP whole (and its cost measured honestly).
+    GenParams params = scaling_params(200, 1);
+    params.machines = 16;
+    params.horizon = 6 * params.T;
+    single_block = end_to_end("long_dense_n200", generate_long_window(params)) == 1;
+  }
+
   bench.print_table("scaling",
                     "best-of-reps wall time per component (T=10, m=2)");
+  bench.print_table("end_to_end_scaling",
+                    "combined solver end to end: TISE LP blocks, LP share, "
+                    "best-of-reps wall time per job");
   bench.print_table("lp_counters",
                     "TISE LP work counters per sweep point (all reps)");
   bench.metric("batch32_parallel_items_per_s", parallel_items_per_s);
@@ -241,6 +326,8 @@ int main(int argc, char** argv) {
   // 4 tise + 4 long + 4 short + 3 end-to-end + 4 batch (2 sizes x
   // parallel/serial) + 3 lp-rounding + 3 exact + 3 greedy-lazy.
   bench.check("every series recorded", table.row_count() == 28);
+  bench.check("every end-to-end row recorded", e2e.row_count() == 11);
+  bench.check("dense long instance stays one LP block", single_block);
   bench.note(
       "The TISE LP dominates long-window cost and the series bounds how "
       "instance size n translates into wall time for each pipeline stage; "

@@ -37,6 +37,11 @@ Time Instance::total_work() const noexcept {
 
 std::optional<std::string> Instance::validate() const {
   if (machines < 1) return "machine count must be >= 1";
+  if (machines > kMaxMachines) {
+    return "machine count " + std::to_string(machines) + " exceeds " +
+           std::to_string(kMaxMachines) +
+           " (the long-window pipeline allots 18m machines)";
+  }
   if (cal.empty()) {
     if (T < 2) return "calibration length T must be >= 2";
   } else {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,6 +23,10 @@ namespace calisched {
 /// table makes this a cost-model instance (see is_unit_model()), and jobs
 /// are then constrained by the longest type length instead of T.
 struct Instance {
+  /// Largest accepted machine count: the long-window pipeline allots
+  /// 18m machines (Theorem 12), which must fit in an int.
+  static constexpr int kMaxMachines = std::numeric_limits<int>::max() / 18;
+
   std::vector<Job> jobs;
   int machines = 1;
   Time T = 2;

@@ -28,9 +28,10 @@ struct Job {
     return deadline - release - proc;
   }
 
-  /// Definition 1: long iff the window is at least 2T.
+  /// Definition 1: long iff the window is at least 2T. Written as
+  /// window - T >= T so that 2T never has to fit in a Time.
   [[nodiscard]] constexpr bool is_long(Time calibration_length) const noexcept {
-    return window() >= 2 * calibration_length;
+    return window() - calibration_length >= calibration_length;
   }
 
   /// Latest feasible start time d_j - p_j.

@@ -1,11 +1,14 @@
 #include "longwin/long_pipeline.hpp"
 
 #include <cassert>
+#include <optional>
+#include <string>
 
 #include "longwin/edf_assign.hpp"
 #include "longwin/rounding.hpp"
 #include "longwin/speed_transform.hpp"
 #include "trace/trace.hpp"
+#include "util/arith.hpp"
 
 namespace calisched {
 
@@ -45,10 +48,22 @@ LongWindowResult solve_long_window(const Instance& instance,
 
   // Step 1: trim to m' machines (Lemma 2).
   TraceSpan trim_span(trace, "trim");
-  const int m_prime = options.trim_multiplier * instance.machines;
+  const std::optional<int> trimmed =
+      checked_mul(options.trim_multiplier, instance.machines);
+  const std::optional<int> allotted =
+      trimmed ? checked_mul(6, *trimmed) : std::nullopt;
   trim_span.stop();
+  if (!allotted) {
+    fail_result(result, SolveStatus::kLimitExceeded,
+                "machine allotment 6 * " +
+                    std::to_string(options.trim_multiplier) + " * " +
+                    std::to_string(instance.machines) + " overflows int",
+                "trim");
+    return finish();
+  }
+  const int m_prime = *trimmed;
   trace->set("m_prime", m_prime);
-  trace->set("machines.allotted", 6 * m_prime);
+  trace->set("machines.allotted", *allotted);
   if (instance.empty()) {
     result.feasible = true;
     result.schedule = Schedule::empty_like(instance, 0);
@@ -67,6 +82,8 @@ LongWindowResult solve_long_window(const Instance& instance,
   trace->set("lp.pivots", fractional.pivots);
   trace->set("lp.rows", fractional.lp_rows);
   trace->set("lp.columns", fractional.lp_columns);
+  trace->set("lp.components", fractional.components);
+  trace->set("lp.largest_component_jobs", fractional.largest_component_jobs);
   if (fractional.status != LpStatus::kOptimal) {
     fail_result(result, lp_status_to_solve(fractional.status),
                 fractional.status == LpStatus::kInfeasible
@@ -129,8 +146,8 @@ LongWindowResult solve_long_window_speed(const Instance& instance,
   if (instance.empty()) return result;
   // Group size c such that c * m covers the Theorem-12 machine allotment.
   TraceSpan transform_span(trace, "speed_transform");
-  const int c = (result.schedule.machines + instance.machines - 1) /
-                instance.machines;
+  const auto c = static_cast<int>(
+      ceil_div(result.schedule.machines, instance.machines));
   auto transformed = speed_transform(instance, result.schedule, c);
   transform_span.stop();
   if (!transformed) {

@@ -43,14 +43,38 @@ struct TiseFractional {
   std::vector<double> calibration_mass;  ///< C_t per point
   /// per job (instance order): (point index, fraction) with fraction > 0
   std::vector<std::vector<std::pair<int, double>>> assignment;
+  /// Summed over the time-disjoint blocks the LP was solved in.
   std::int64_t pivots = 0;
   int lp_rows = 0;
   int lp_columns = 0;
+  int components = 0;              ///< time-disjoint blocks (0 when empty)
+  int largest_component_jobs = 0;  ///< jobs in the largest block
 };
 
 /// Builds and solves the relaxation. status != kOptimal means there is no
-/// feasible fractional TISE schedule on m' machines (kInfeasible) or the
-/// solver gave up (kIterationLimit; does not happen at library scales).
+/// feasible fractional TISE schedule on m' machines (kInfeasible), a
+/// RunLimits stop (kDeadlineExceeded / kCancelled), or the pivot cap
+/// (kIterationLimit).
+///
+/// The LP is block-diagonal over time-disjoint components of the jobs
+/// (sorted by release, a component ends where a release is >= the running
+/// maximum deadline, so windows that only touch, d_A == r_B, split): every
+/// TISE point of job j lies in [r_j, d_j - T], so a constraint-(1) window
+/// anchored in one component ends before the next one starts. With more
+/// than one component each block is built on its own canonical points and
+/// solved separately; the blocks are stitched back in time order (`points`
+/// stays strictly ascending, `assignment` keeps instance order, and
+/// objective/pivots/rows/columns are sums). Lemma 3 holds per component and
+/// OPT is additive over time-disjoint components, so the stitched objective
+/// still lower-bounds C*_TISE. Whole-solve budgets: `max_pivots` is shared
+/// by the blocks (each gets what the earlier ones left) and `limits` holds
+/// for the whole solve. Each block's simplex trace lands in a scratch
+/// context absorbed into `options.trace` in block order, so simplex
+/// counters are sums over blocks (including the `*.peak` ones). A caller
+/// `warm_start` is honoured only with a single block; otherwise every
+/// block cold-starts and the WarmStart is left as it was. On a non-optimal
+/// block the solve stops and returns that status with no solution. A
+/// single component takes exactly the unsplit path.
 [[nodiscard]] TiseFractional solve_tise_lp(const Instance& instance, int m_prime,
                                            const SimplexOptions& options = {});
 

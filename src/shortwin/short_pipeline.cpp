@@ -4,6 +4,7 @@
 #include <cassert>
 #include <deque>
 #include <map>
+#include <string>
 
 #include "util/arith.hpp"
 #include "util/thread_pool.hpp"
@@ -81,6 +82,14 @@ ShortWindowResult solve_short_window(const Instance& instance,
   result.schedule = Schedule::empty_like(instance, 0);
   if (instance.empty()) {
     result.feasible = true;
+    return finish();
+  }
+  if (!checked_mul(2 * gamma, instance.T)) {
+    fail_result(result, SolveStatus::kLimitExceeded,
+                "interval width 2 * gamma * T overflows (gamma " +
+                    std::to_string(gamma) + ", T " +
+                    std::to_string(instance.T) + ")",
+                "partition");
     return finish();
   }
 

@@ -74,7 +74,9 @@ class TraceContext {
 
   // --- merging ---------------------------------------------------------------
   /// Folds everything recorded in `other` into this context: counters are
-  /// summed, gauges overwritten, notes unioned (insertion order preserved),
+  /// summed (peak-style counters such as the simplex's `eta.peak` too, so a
+  /// merged peak is a sum over the absorbed contexts, not a maximum),
+  /// gauges overwritten, notes unioned (insertion order preserved),
   /// spans merged by summing total_ns and count, and children merged
   /// recursively by name (created here when absent). `other` is left
   /// untouched and its name is ignored — only its contents transfer. This is

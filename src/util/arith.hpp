@@ -8,6 +8,7 @@
 #include <cassert>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 
 namespace calisched {
 
@@ -46,6 +47,14 @@ using Time = std::int64_t;
   const std::int64_t result = (a / g) * b;
   assert(result / b == a / g);  // overflow guard
   return result;
+}
+
+/// a * b, or nullopt when the product does not fit in `Int`.
+template <typename Int>
+[[nodiscard]] constexpr std::optional<Int> checked_mul(Int a, Int b) noexcept {
+  Int product{};
+  if (__builtin_mul_overflow(a, b, &product)) return std::nullopt;
+  return product;
 }
 
 }  // namespace calisched

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/calibration_points.hpp"
 #include "core/schedule.hpp"
@@ -37,6 +39,16 @@ TEST(Job, LongClassification) {
   EXPECT_FALSE((Job{0, 0, 19, 1}).is_long(10));  // window < 2T
 }
 
+TEST(Job, LongClassificationNearTimeLimits) {
+  // 2T does not fit in a Time here; Definition 1 still decides.
+  constexpr Time kMax = std::numeric_limits<Time>::max();
+  constexpr Time kT = Time{1} << 62;
+  EXPECT_FALSE((Job{0, 0, kMax, 5}).is_long(kT));      // window 2^63 - 1 < 2T
+  EXPECT_TRUE((Job{0, 0, kMax, 5}).is_long(kT - 1));   // window >= 2T - 2
+  EXPECT_TRUE((Job{0, 1, kMax, 5}).is_long(kT - 1));   // window == 2T - 2
+  EXPECT_FALSE((Job{0, 2, kMax, 5}).is_long(kT - 1));  // window == 2T - 3
+}
+
 TEST(Instance, AggregatesAndValidate) {
   const Instance instance = small_instance();
   EXPECT_EQ(instance.min_release(), 0);
@@ -65,6 +77,27 @@ TEST(Instance, ValidateRejectsBadData) {
   instance = small_instance();
   instance.machines = 0;
   EXPECT_TRUE(instance.validate().has_value());
+}
+
+TEST(Instance, ValidateRejectsMachineCountsPastThe18mAllotment) {
+  Instance instance = small_instance();
+  instance.machines = Instance::kMaxMachines;
+  EXPECT_FALSE(instance.validate().has_value());
+  instance.machines = Instance::kMaxMachines + 1;
+  ASSERT_TRUE(instance.validate().has_value());
+  EXPECT_NE(instance.validate()->find("machine count"), std::string::npos);
+
+  // The file reader reports it as a parse error instead of letting the
+  // long-window pipeline overflow 3m.
+  std::stringstream buffer("machines 1000000000\nT 10\njob 0 0 30 5\n");
+  try {
+    (void)read_instance(buffer);
+    FAIL() << "machines 1000000000 was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("machine count 1000000000"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Instance, JobById) {

@@ -3,6 +3,7 @@
 // determinism, serialization round trips, and wide-horizon behavior.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "baselines/exact_ise.hpp"
@@ -96,6 +97,20 @@ TEST(EdgeCases, LargeTimeValuesDoNotOverflow) {
   const IseSolveResult result = solve_ise(instance);
   ASSERT_TRUE(result.feasible) << result.error;
   EXPECT_TRUE(verify_ise(instance, result.schedule).ok());
+}
+
+TEST(EdgeCases, HugeCalibrationLengthEndsInAStructuredError) {
+  // T = 2^62 and d = INT64_MAX: Definition 1 makes the job short, and the
+  // short pipeline's 2*gamma*T interval width does not fit in a Time. The
+  // solve must say so instead of dividing by a wrapped width.
+  Instance instance;
+  instance.machines = 1;
+  instance.T = Time{1} << 62;
+  instance.jobs = {{0, 0, std::numeric_limits<Time>::max(), 5}};
+  const IseSolveResult result = solve_ise(instance);
+  EXPECT_FALSE(result.feasible);
+  EXPECT_EQ(result.status, SolveStatus::kLimitExceeded) << result.error;
+  EXPECT_EQ(result.short_job_count, 1u);
 }
 
 TEST(EdgeCases, ManyIdenticalJobs) {

@@ -19,6 +19,8 @@
 #include "longwin/rounding.hpp"
 #include "longwin/speed_transform.hpp"
 #include "longwin/trim_transform.hpp"
+#include "lp/revised_simplex.hpp"
+#include "trace/trace.hpp"
 #include "verify/verify.hpp"
 
 namespace calisched {
@@ -98,6 +100,205 @@ TEST(TiseLp, InfeasibleWhenWorkExceedsCapacity) {
   // > 2 * T. (Points 0 and 10 are T apart, so both can carry mass 1.)
   const TiseFractional fractional = solve_tise_lp(instance, 1);
   EXPECT_EQ(fractional.status, LpStatus::kInfeasible);
+}
+
+// Two time-disjoint groups, interleaved in instance order: jobs 0, 2, 4
+// live in [0, 40), jobs 1, 3 in [50, 95).
+Instance two_component_instance() {
+  Instance instance;
+  instance.machines = 1;
+  instance.T = 10;
+  instance.jobs = {{0, 0, 30, 7},   {1, 50, 80, 9}, {2, 5, 40, 6},
+                   {3, 60, 95, 10}, {4, 10, 35, 8}};
+  return instance;
+}
+
+Instance sub_instance(const Instance& instance,
+                      const std::vector<std::size_t>& indices) {
+  Instance sub = instance;
+  sub.jobs.clear();
+  for (const std::size_t j : indices) sub.jobs.push_back(instance.jobs[j]);
+  return sub;
+}
+
+TEST(TiseLpDecomposition, TwoComponentsEqualTheSeparateSolves) {
+  const Instance instance = two_component_instance();
+  const std::vector<std::size_t> first = {0, 2, 4};
+  const std::vector<std::size_t> second = {1, 3};
+  const TiseFractional whole = solve_tise_lp(instance, 3);
+  const TiseFractional a = solve_tise_lp(sub_instance(instance, first), 3);
+  const TiseFractional b = solve_tise_lp(sub_instance(instance, second), 3);
+  ASSERT_EQ(whole.status, LpStatus::kOptimal);
+  ASSERT_EQ(a.status, LpStatus::kOptimal);
+  ASSERT_EQ(b.status, LpStatus::kOptimal);
+  EXPECT_EQ(whole.components, 2);
+  EXPECT_EQ(whole.largest_component_jobs, 3);
+  EXPECT_EQ(a.components, 1);
+  EXPECT_EQ(whole.objective, a.objective + b.objective);
+  EXPECT_EQ(whole.pivots, a.pivots + b.pivots);
+  EXPECT_EQ(whole.lp_rows, a.lp_rows + b.lp_rows);
+  EXPECT_EQ(whole.lp_columns, a.lp_columns + b.lp_columns);
+
+  // Points and masses concatenate in time order ...
+  std::vector<Time> points = a.points;
+  points.insert(points.end(), b.points.begin(), b.points.end());
+  EXPECT_EQ(whole.points, points);
+  std::vector<double> mass = a.calibration_mass;
+  mass.insert(mass.end(), b.calibration_mass.begin(), b.calibration_mass.end());
+  EXPECT_EQ(whole.calibration_mass, mass);
+
+  // ... and each job's assignment maps back to instance order, with the
+  // second block's point indices shifted past the first block's points.
+  ASSERT_EQ(whole.assignment.size(), instance.size());
+  const auto offset = static_cast<int>(a.points.size());
+  for (std::size_t k = 0; k < first.size(); ++k) {
+    EXPECT_EQ(whole.assignment[first[k]], a.assignment[k]) << "job " << first[k];
+  }
+  for (std::size_t k = 0; k < second.size(); ++k) {
+    auto expected = b.assignment[k];
+    for (auto& entry : expected) entry.first += offset;
+    EXPECT_EQ(whole.assignment[second[k]], expected) << "job " << second[k];
+  }
+}
+
+TEST(TiseLpDecomposition, TouchingWindowsSplitOverlappingOnesDoNot) {
+  Instance instance;
+  instance.machines = 1;
+  instance.T = 10;
+  instance.jobs = {{0, 0, 30, 5}, {1, 30, 60, 5}};  // d_A == r_B
+  const TiseFractional touching = solve_tise_lp(instance, 3);
+  ASSERT_EQ(touching.status, LpStatus::kOptimal);
+  EXPECT_EQ(touching.components, 2);
+  EXPECT_EQ(touching.largest_component_jobs, 1);
+
+  instance.jobs[1].release = 29;  // overlap by one tick
+  const TiseFractional overlapping = solve_tise_lp(instance, 3);
+  ASSERT_EQ(overlapping.status, LpStatus::kOptimal);
+  EXPECT_EQ(overlapping.components, 1);
+  EXPECT_EQ(overlapping.largest_component_jobs, 2);
+
+  // The running maximum deadline, not the last job's, closes a component:
+  // job 2 starts after job 1 ends but inside job 0's window.
+  instance.jobs = {{0, 0, 100, 5}, {1, 10, 40, 5}, {2, 50, 80, 5}};
+  const TiseFractional chained = solve_tise_lp(instance, 3);
+  ASSERT_EQ(chained.status, LpStatus::kOptimal);
+  EXPECT_EQ(chained.components, 1);
+}
+
+TEST(TiseLpDecomposition, PointsStrictlyAscendingAcrossBlocks) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    GenParams params = long_params(seed, 16);
+    params.horizon = 600;  // sparse: many time-disjoint components
+    const Instance instance = generate_long_window(params);
+    const TiseFractional fractional = solve_tise_lp(instance, 3 * instance.machines);
+    ASSERT_EQ(fractional.status, LpStatus::kOptimal) << "seed " << seed;
+    EXPECT_GT(fractional.components, 1) << "seed " << seed;
+    ASSERT_EQ(fractional.calibration_mass.size(), fractional.points.size());
+    for (std::size_t p = 1; p < fractional.points.size(); ++p) {
+      EXPECT_LT(fractional.points[p - 1], fractional.points[p])
+          << "seed " << seed << " point " << p;
+    }
+    for (std::size_t j = 0; j < instance.size(); ++j) {
+      const Job& job = instance.jobs[j];
+      for (const auto& [point, value] : fractional.assignment[j]) {
+        const Time t = fractional.points[static_cast<std::size_t>(point)];
+        EXPECT_TRUE(job.release <= t && t <= job.deadline - instance.T)
+            << "seed " << seed << " job " << j << " at " << t;
+      }
+    }
+  }
+}
+
+TEST(TiseLpDecomposition, PivotCapIsWholeSolveAndYieldsNoPartialSolution) {
+  const Instance instance = two_component_instance();
+  const TiseFractional free_run = solve_tise_lp(instance, 3);
+  ASSERT_EQ(free_run.status, LpStatus::kOptimal);
+  ASSERT_EQ(free_run.components, 2);
+  ASSERT_GT(free_run.pivots, 1);
+  SimplexOptions capped;
+  capped.max_pivots = free_run.pivots - 1;
+  const TiseFractional limited = solve_tise_lp(instance, 3, capped);
+  EXPECT_EQ(limited.status, LpStatus::kIterationLimit);
+  EXPECT_LE(limited.pivots, capped.max_pivots);
+  EXPECT_TRUE(limited.points.empty());
+  EXPECT_TRUE(limited.calibration_mass.empty());
+  EXPECT_TRUE(limited.assignment.empty());
+  EXPECT_EQ(limited.objective, 0.0);
+}
+
+TEST(TiseLpDecomposition, RepeatedSolvesAreByteIdentical) {
+  GenParams params = long_params(9, 24);
+  params.horizon = 500;
+  const Instance instance = generate_long_window(params);
+  TraceContext first_trace("lp");
+  TraceContext second_trace("lp");
+  SimplexOptions first_options;
+  first_options.trace = &first_trace;
+  SimplexOptions second_options;
+  second_options.trace = &second_trace;
+  // The simplex's per-thread workspace reports whether it was already warm
+  // (`workspace.reused`); warm it first so both traced runs see one state.
+  (void)solve_tise_lp(instance, 6);
+  const TiseFractional first = solve_tise_lp(instance, 6, first_options);
+  const TiseFractional second = solve_tise_lp(instance, 6, second_options);
+  ASSERT_EQ(first.status, LpStatus::kOptimal);
+  ASSERT_GT(first.components, 1);
+  EXPECT_EQ(first.objective, second.objective);
+  EXPECT_EQ(first.points, second.points);
+  EXPECT_EQ(first.calibration_mass, second.calibration_mass);
+  EXPECT_EQ(first.assignment, second.assignment);
+  EXPECT_EQ(first.pivots, second.pivots);
+  // The absorbed simplex counters are per-block sums, in block order.
+  EXPECT_EQ(first_trace.counter("pivots.phase1") +
+                first_trace.counter("pivots.phase2"),
+            first.pivots);
+  EXPECT_EQ(first_trace.span_count("phase2"), first.components);
+  const JsonValue first_json = first_trace.to_json();
+  const JsonValue second_json = second_trace.to_json();
+  ASSERT_NE(first_json.find("counters"), nullptr);
+  ASSERT_NE(second_json.find("counters"), nullptr);
+  EXPECT_EQ(first_json.find("counters")->dump(),
+            second_json.find("counters")->dump());
+}
+
+TEST(TiseLpDecomposition, WarmStartOnlyForASingleBlock) {
+  WarmStart warm;
+  SimplexOptions options;
+  options.warm_start = &warm;
+  const TiseFractional split = solve_tise_lp(two_component_instance(), 3, options);
+  ASSERT_EQ(split.status, LpStatus::kOptimal);
+  EXPECT_FALSE(warm.valid);  // blocks cold-start; the slot stays as it was
+
+  Instance single = two_component_instance();
+  single.jobs.resize(1);
+  const TiseFractional one = solve_tise_lp(single, 3, options);
+  ASSERT_EQ(one.status, LpStatus::kOptimal);
+  EXPECT_EQ(one.components, 1);
+  EXPECT_TRUE(warm.valid);  // the unsplit path exports its basis
+}
+
+TEST(LongPipeline, TraceReportsTheLpSplit) {
+  TraceContext trace("long_window");
+  LongWindowOptions options;
+  options.trace = &trace;
+  const Instance instance = two_component_instance();
+  const LongWindowResult result = solve_long_window(instance, options);
+  ASSERT_TRUE(result.feasible) << result.error;
+  EXPECT_EQ(trace.counter("lp.components"), 2);
+  EXPECT_EQ(trace.counter("lp.largest_component_jobs"), 3);
+  EXPECT_TRUE(verify_tise(instance, result.schedule).ok());
+}
+
+TEST(LongPipeline, MachineAllotmentOverflowIsAStructuredError) {
+  Instance instance = two_component_instance();
+  instance.machines = Instance::kMaxMachines;
+  ASSERT_FALSE(instance.validate().has_value());
+  LongWindowOptions options;
+  options.trim_multiplier = 4;  // 24m no longer fits in an int
+  const LongWindowResult result = solve_long_window(instance, options);
+  EXPECT_FALSE(result.feasible);
+  EXPECT_EQ(result.status, SolveStatus::kLimitExceeded);
+  EXPECT_NE(result.error.find("overflows"), std::string::npos) << result.error;
 }
 
 TEST(Rounding, HalfUnitSemanticsOnFigure2) {

@@ -16,7 +16,9 @@
 //       instances at sizes far past branch-and-bound reach, and every
 //       paper bound (combinatorial lower bound <= OPT, Theorem 20's
 //       16*gamma*alpha ceiling with an exact MM box, baselines >= OPT)
-//       holds against the true optimum, not a proxy lower bound.
+//       holds against the true optimum, not a proxy lower bound;
+//   P10 the block-decomposed TISE LP objective lies between the monolithic
+//       LP and the exact TISE optimum on m' machines.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -157,6 +159,50 @@ TEST_P(LongWindowSweep, LpEnginesAgreeOnTiseRelaxation) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, LongWindowSweep, testing::ValuesIn(sweep_cases()),
                          case_name);
+
+// P10: the block-decomposed TISE LP. Splitting into time-disjoint blocks
+// solves each block on its own canonical points, a subset of the
+// monolithic model's, so the objective can only rise — but never past the
+// exact TISE optimum on m' machines (Lemma 3 per component, OPT additive
+// over components), which keeps Theorem 12's chain intact.
+std::vector<SweepCase> decomposition_cases() {
+  std::vector<SweepCase> cases;
+  for (std::uint64_t seed : {11, 22, 33, 44, 55, 66, 77, 88}) {
+    for (const int n : {4, 6, 16}) {
+      cases.push_back({seed, n, Time{4} + static_cast<Time>(seed % 3), 1});
+    }
+  }
+  return cases;
+}
+
+class TiseDecompositionSweep : public testing::TestWithParam<SweepCase> {};
+
+TEST_P(TiseDecompositionSweep, BetweenMonolithicLpAndExactTiseOptimum) {
+  const SweepCase& c = GetParam();
+  GenParams params = to_params(c);
+  params.horizon = 3 * c.n * c.T;  // sparse enough to split into blocks
+  const Instance instance = generate_long_window(params, 2, 3);
+  const int m_prime = 3 * instance.machines;
+  const TiseFractional split = solve_tise_lp(instance, m_prime);
+  const LpSolution monolithic = solve_lp(build_tise_lp(instance, m_prime).model);
+  ASSERT_EQ(split.status, LpStatus::kOptimal);
+  ASSERT_EQ(monolithic.status, LpStatus::kOptimal);
+  EXPECT_GE(split.objective, monolithic.objective - 1e-6);
+  EXPECT_GT(split.components, 1);  // the sweep exercises the split
+  if (c.n > 6) return;  // exact search stays cheap only for small n
+
+  Instance trimmed = instance;
+  trimmed.machines = m_prime;
+  ExactIseOptions exact_options;
+  exact_options.require_tise = true;
+  const ExactIseResult exact = solve_exact_ise(trimmed, exact_options);
+  ASSERT_TRUE(exact.solved && exact.feasible);
+  EXPECT_LE(split.objective,
+            static_cast<double>(exact.optimal_calibrations) + 1e-6);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, TiseDecompositionSweep,
+                         testing::ValuesIn(decomposition_cases()), case_name);
 
 class ShortWindowSweep : public testing::TestWithParam<SweepCase> {};
 

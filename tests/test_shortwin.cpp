@@ -3,6 +3,7 @@
 // Theorem 20 bounds against MM telemetry.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -87,6 +88,22 @@ TEST(IntervalSchedule, TrimUnusedCalibrationsOption) {
   ASSERT_TRUE(result.feasible);
   EXPECT_EQ(result.schedule.num_calibrations(), 1u);
   EXPECT_TRUE(verify_ise(instance, result.schedule).ok());
+}
+
+TEST(ShortPipeline, IntervalWidthOverflowIsAStructuredError) {
+  // Definition 1 calls this job short (window 2^63 - 1 < 2T), but the
+  // 2*gamma*T interval width does not fit in a Time.
+  Instance instance;
+  instance.machines = 1;
+  instance.T = Time{1} << 62;
+  instance.jobs = {{0, 0, std::numeric_limits<Time>::max(), 5}};
+  ASSERT_FALSE(instance.validate().has_value());
+  ASSERT_FALSE(instance.jobs[0].is_long(instance.T));
+  const GreedyEdfMM mm;
+  const ShortWindowResult result = solve_short_window(instance, mm);
+  EXPECT_FALSE(result.feasible);
+  EXPECT_EQ(result.status, SolveStatus::kLimitExceeded);
+  EXPECT_NE(result.error.find("overflows"), std::string::npos) << result.error;
 }
 
 TEST(ShortPipeline, FeasibleAndCleanAcrossSeeds) {
