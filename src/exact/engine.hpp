@@ -14,9 +14,7 @@
 //     because permuted placement orders collapse into one state.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace calisched {
 
@@ -24,14 +22,6 @@ enum class ExactEngine {
   kBranchBound,  ///< depth-first branch-and-bound (differential oracle)
   kStateSpace,   ///< hash-consed layered state graph (default)
 };
-
-/// Flag spelling used by --exact-engine and the bench binaries.
-[[nodiscard]] inline std::optional<ExactEngine> parse_exact_engine(
-    std::string_view text) noexcept {
-  if (text == "bnb" || text == "branch-bound") return ExactEngine::kBranchBound;
-  if (text == "state" || text == "state-space") return ExactEngine::kStateSpace;
-  return std::nullopt;
-}
 
 [[nodiscard]] inline std::string to_string(ExactEngine engine) {
   return engine == ExactEngine::kBranchBound ? "bnb" : "state-space";

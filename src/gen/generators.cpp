@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -229,6 +231,45 @@ Instance generate_online_drip(const GenParams& params) {
     at += rng.uniform_int(1, std::max<Time>(1, params.T / 2));
   }
   return instance;
+}
+
+Instance generate_family(std::string_view family, const GenParams& params,
+                         const FamilyOptions& options) {
+  if (family == "mixed") return generate_mixed(params, options.long_fraction);
+  if (family == "long") return generate_long_window(params);
+  if (family == "short") return generate_short_window(params);
+  if (family == "unit") {
+    return generate_unit(params, options.max_window > 0 ? options.max_window
+                                                        : 2 * params.T - 1);
+  }
+  if (family == "clustered") {
+    return generate_clustered(
+        params, options.bursts > 0 ? options.bursts : 3,
+        options.burst_span > 0 ? options.burst_span : params.T,
+        options.long_windows);
+  }
+  if (family == "calib-cheap-short") {
+    return generate_calib_cost(params, CalibTableRegime::kCheapShort);
+  }
+  if (family == "calib-expensive-long") {
+    return generate_calib_cost(params, CalibTableRegime::kExpensiveLong);
+  }
+  if (family == "calib-delayed") {
+    return generate_calib_cost(params, CalibTableRegime::kDelayed);
+  }
+  if (family == "online-poisson") {
+    return generate_online_poisson(params, options.mean_gap);
+  }
+  if (family == "online-burst") {
+    return generate_online_burst(params,
+                                 options.bursts > 0 ? options.bursts : 4);
+  }
+  if (family == "online-drip") return generate_online_drip(params);
+  throw std::invalid_argument(
+      "unknown family '" + std::string(family) +
+      "' (mixed|long|short|unit|clustered|calib-cheap-short|"
+      "calib-expensive-long|calib-delayed|online-poisson|online-burst|"
+      "online-drip)");
 }
 
 }  // namespace calisched

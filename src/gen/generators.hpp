@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "core/instance.hpp"
 
@@ -99,5 +100,32 @@ enum class CalibTableRegime { kCheapShort, kExpensiveLong, kDelayed };
 /// it lands, so laziness buys nothing — the worst regime for an online
 /// scheduler against a clairvoyant packer.
 [[nodiscard]] Instance generate_online_drip(const GenParams& params);
+
+// --- Named families ---------------------------------------------------------
+//
+// The one family-name -> generator table. `calisched --generate` and the
+// batch driver both go through generate_family, so a batch record's seed
+// passed back to --generate rebuilds that record's instance.
+
+/// Per-family knobs beyond GenParams. A zero field means the family's
+/// default, so one struct serves families with different defaults.
+struct FamilyOptions {
+  double long_fraction = 0.5;  ///< mixed
+  Time max_window = 0;         ///< unit; 0 means 2T - 1
+  /// clustered (0 means 3) and online-burst (0 means 4)
+  int bursts = 0;
+  Time burst_span = 0;         ///< clustered; 0 means T
+  bool long_windows = false;   ///< clustered
+  double mean_gap = 0.0;       ///< online-poisson; <= 0 means horizon / n
+};
+
+/// One instance of the named family: mixed|long|short|unit|clustered, the
+/// calibration-cost families calib-cheap-short|calib-expensive-long|
+/// calib-delayed (see CalibTableRegime), or the arrival-trace families
+/// online-poisson|online-burst|online-drip. Throws std::invalid_argument on
+/// an unknown family.
+[[nodiscard]] Instance generate_family(std::string_view family,
+                                       const GenParams& params,
+                                       const FamilyOptions& options = {});
 
 }  // namespace calisched

@@ -29,19 +29,12 @@ namespace calisched {
                                                  std::uint64_t index) noexcept;
 
 /// A generator-backed batch: `count` instances of one family, instance i
-/// generated with seed derive_instance_seed(params.seed, i).
+/// generated by generate_family with seed derive_instance_seed(params.seed, i).
 struct BatchSpec {
-  /// mixed|long|short|unit|clustered, or a calibration-cost family over an
-  /// explicit type table: calib-cheap-short|calib-expensive-long|
-  /// calib-delayed (see CalibTableRegime).
-  std::string family = "mixed";
+  std::string family = "mixed";  ///< any generate_family name
   std::size_t count = 8;
   GenParams params;              ///< params.seed is the *base* seed
-  double long_fraction = 0.5;    ///< mixed family
-  Time max_window = 0;           ///< unit family; 0 means 2T - 1
-  int bursts = 3;                ///< clustered family
-  Time burst_span = 0;           ///< clustered family; 0 means T
-  bool long_windows = false;     ///< clustered family
+  FamilyOptions options;
 };
 
 /// Materializes the spec; throws std::invalid_argument on an unknown

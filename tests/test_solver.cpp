@@ -4,6 +4,7 @@
 #include "baselines/calibration_bounds.hpp"
 #include "gen/generators.hpp"
 #include "mm/lower_bounds.hpp"
+#include "mm/lp_rounding_mm.hpp"
 #include "solver/ise_solver.hpp"
 #include "solver/mm_via_ise.hpp"
 #include "verify/verify.hpp"
@@ -104,17 +105,24 @@ TEST(IseSolver, ClusteredArrivalsBothRegimes) {
 TEST(IseSolver, SpeedAugmentedMmBoxEndToEnd) {
   // Theorem 1 with an s-speed MM black box: the whole result runs on
   // s-speed machines (the long pipeline's schedule is lifted unchanged).
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const Instance instance = generate_mixed(mixed_params(seed), 0.5);
-    IseSolverOptions options;
-    options.mm = std::make_shared<SpeedupMM>(std::make_shared<GreedyEdfMM>(), 2);
-    const IseSolveResult result = solve_ise(instance, options);
-    ASSERT_TRUE(result.feasible) << "seed " << seed << ": " << result.error;
-    if (result.short_job_count > 0) {
-      EXPECT_EQ(result.schedule.speed, 2) << "seed " << seed;
+  // Every box the solver takes as a parameter, the LP-rounding one too.
+  const std::vector<std::shared_ptr<const MachineMinimizer>> boxes = {
+      std::make_shared<GreedyEdfMM>(), std::make_shared<LpRoundingMM>()};
+  for (const auto& box : boxes) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const Instance instance = generate_mixed(mixed_params(seed), 0.5);
+      IseSolverOptions options;
+      options.mm = std::make_shared<SpeedupMM>(box, 2);
+      const IseSolveResult result = solve_ise(instance, options);
+      ASSERT_TRUE(result.feasible)
+          << box->name() << " seed " << seed << ": " << result.error;
+      if (result.short_job_count > 0) {
+        EXPECT_EQ(result.schedule.speed, 2) << box->name() << " seed " << seed;
+      }
+      const VerifyResult check = verify_ise(instance, result.schedule);
+      EXPECT_TRUE(check.ok())
+          << box->name() << " seed " << seed << "\n" << check.to_string();
     }
-    const VerifyResult check = verify_ise(instance, result.schedule);
-    EXPECT_TRUE(check.ok()) << "seed " << seed << "\n" << check.to_string();
   }
 }
 

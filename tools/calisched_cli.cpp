@@ -1,16 +1,10 @@
 // calisched — command-line front end.
 //
-// Reads an instance (see src/core/instance.hpp for the text format), runs
-// the chosen algorithm, verifies the schedule independently, and prints a
-// summary, an optional ASCII Gantt chart, and optional CSV.
-//
 // Usage:
 //   calisched <instance-file> [--algo=NAME] [--gantt] [--csv] [--quiet]
-//             [--adaptive-mirror] [--prune-empty] [--relaxed] [--mm=NAME]
-//             [--exact-engine=state|bnb] [--node-budget=N]
-//             [--lp-engine=dense|revised] [--solve-threads=N]
-//             [--trace-json=FILE]
-//   calisched --generate=FAMILY --n=N --T=N --machines=N [--seed=N] --out=F
+//             [--save-schedule=FILE] [--trace-json=FILE] [--node-budget=N]
+//   calisched --generate=FAMILY [--seed=N --n=N --T=N --machines=N
+//             --horizon=N --max-proc=N] [family flags] [--out=FILE]
 //   calisched solve-batch [instance-files...] [--algo=NAME] [--threads=N]
 //             [--timeout-ms=N] [--node-budget=N] [--out=FILE] [--no-timing]
 //             [--trace]
@@ -20,14 +14,36 @@
 //             [--server=epoll|threads] [--io-threads=N] [--backlog=N]
 //   calisched replay <instance-file> [--algo=online-edf] [--schedule]
 //
-// replay feeds the instance through the online-arrival simulator (each job
-// becomes known at its release time) and prints the schedule-delta stream:
-// one NDJSON "delta" line per advancement — byte-identical to what a
-// `subscribe` session over serve streams for the same trace — followed by
-// one "result" line (--schedule attaches the full committed schedule).
-// The replay is deterministic: the same instance prints the same bytes on
-// every run. Exit status 0 when the online run is feasible, 1 when the
-// heuristic lost a job (the stream and result line are still printed).
+// Every mode reads all of its flags before doing any work; a flag the mode
+// does not define is an error (exit 2, naming the flag).
+//
+// The single-instance path runs one algorithm from AlgorithmRegistry::
+// builtin() (the registry lists every name and what each one requires) and
+// prints a summary, an optional ASCII Gantt chart, and optional CSV. The
+// registry adapter verifies the schedule independently before reporting it
+// feasible; that pass is the one check. MM boxes (mm-*) and gap-min report a
+// machine or block count rather than a schedule, so they run only under
+// solve-batch. --node-budget=N caps the exact solvers' node/state count
+// (exhaustion reports "limit-exceeded", never "infeasible"); 0 keeps each
+// solver's default. --trace-json=FILE writes the solve's full stage trace
+// (per-stage spans, counters, LP/MM telemetry, schedule stats) as JSON; FILE
+// of "-" means stdout.
+//
+// --generate writes one instance of a gen/generators.hpp family (see
+// generate_family) to --out or stdout. The family flags are --long-fraction
+// (mixed), --max-window (unit), --bursts (clustered, online-burst),
+// --burst-span and --long-windows (clustered), and --mean-gap
+// (online-poisson); 0 means the family's default.
+//
+// solve-batch runs one registered algorithm over many instances concurrently
+// and writes one JSON record per instance (JSONL). Instances come from the
+// positional files, or — when none are given — from the generator flags
+// (same as --generate, with --family naming the family, plus --count;
+// instance i uses a seed derived from --seed and i, and --generate with that
+// seed rebuilds it). Results are deterministic: the output is byte-identical
+// for every --threads value once --no-timing drops the elapsed-time fields.
+// --timeout-ms is a per-instance wall-clock deadline (records report status
+// "deadline-exceeded" when it fires).
 //
 // serve starts the persistent solve service (see src/service/): newline-
 // delimited JSON requests in, one response line per request, in request
@@ -48,197 +64,136 @@
 // "shutdown" drains in-flight solves and exits cleanly. See DESIGN.md
 // sections 11 and 14 for the protocol and the event loop.
 //
-// solve-batch runs one registered algorithm over many instances concurrently
-// and writes one JSON record per instance (JSONL). Instances come from the
-// positional files, or — when none are given — from the generator spec flags
-// (same family flags as --generate, plus --count; instance i uses a seed
-// derived from --seed and i). Results are deterministic: the output is
-// byte-identical for every --threads value once --no-timing drops the
-// elapsed-time fields. --timeout-ms is a per-instance wall-clock deadline
-// (records report status "deadline-exceeded" when it fires). --algo accepts
-// any registry name (see AlgorithmRegistry::builtin()); unlike the single-
-// instance path below, MM boxes (mm-*) and gap-min are valid here too.
-//
-// --lp-engine picks the simplex implementation behind the long-window TISE
-// relaxation: "revised" (default) is the sparse revised simplex, "dense" the
-// reference tableau (see src/lp/simplex.hpp).
-//
-// --solve-threads=N fans the short-window pipeline's per-interval MM solves
-// out over N worker threads (0 = all hardware threads; default 1). The
-// schedule and every counter are byte-identical at any value — results are
-// merged in interval order, never completion order.
-//
-// --trace-json=FILE writes the solve's full stage trace (per-stage spans,
-// counters, LP/MM telemetry, schedule stats) as JSON; FILE of "-" means
-// stdout.
-//
-// --exact-engine picks the implementation behind the exact solvers ("exact"
-// and --mm=exact): "state" (default) is the layered state-space engine,
-// "bnb" the original branch-and-bound differential oracle. --node-budget=N
-// caps their node/state count (exhaustion reports "budget exhausted", never
-// "infeasible"); 0 keeps each solver's default.
-//
-// MM boxes can be speed-augmented with --mm-speed=S (Theorem 1's s-speed
-// augmentation).
-// Algorithms (--algo):
-//   combined     Theorem 1 solver (default)
-//   long         Theorem 12 long-window pipeline (requires all-long input)
-//   long-speed   Theorem 14 (m machines, speed 36)
-//   short        Theorem 20 short-window pipeline (requires all-short input)
-//   greedy-lazy  non-unit lazy binning heuristic (no guarantee)
-//   per-job      one calibration per job
-//   saturate     always-calibrated grid baseline
-//   bender       lazy binning (unit jobs only)
-//   exact        exact minimum calibrations (tiny instances only)
-//   exact-calib-cost   exact minimum cost under a caltype table (tiny)
-//   dp-calib-cost      single-machine cost DP (exact, tiny)
-//   greedy-calib-cost  lazy greedy over the caltype table
-//   online-edf         online EDF-into-calibrations (arrival-time replay)
-// MM boxes (--mm): greedy (default), exact, unit, lp-rounding.
+// replay feeds the instance through the online-arrival simulator (each job
+// becomes known at its release time) and prints the schedule-delta stream:
+// one NDJSON "delta" line per advancement — byte-identical to what a
+// `subscribe` session over serve streams for the same trace — followed by
+// one "result" line (--schedule attaches the full committed schedule).
+// The replay is deterministic: the same instance prints the same bytes on
+// every run. Exit status 0 when the online run is feasible, 1 when the
+// heuristic lost a job (the stream and result line are still printed).
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
+#include <string_view>
 
-#include "baselines/baseline.hpp"
-#include "core/schedule_io.hpp"
 #include "baselines/calibration_bounds.hpp"
-#include "baselines/exact_ise.hpp"
-#include "calib/cost_dp.hpp"
-#include "calib/exact_cost.hpp"
-#include "calib/greedy_cost.hpp"
+#include "core/schedule_io.hpp"
 #include "gen/generators.hpp"
-#include "longwin/long_pipeline.hpp"
-#include "lp/simplex.hpp"
-#include "mm/lp_rounding_mm.hpp"
-#include "mm/mm.hpp"
 #include "online/online.hpp"
-#include "service/protocol.hpp"
 #include "report/ascii_gantt.hpp"
 #include "report/stats.hpp"
 #include "runtime/batch.hpp"
 #include "service/epoll_server.hpp"
+#include "service/protocol.hpp"
 #include "service/server.hpp"
-#include "shortwin/short_pipeline.hpp"
-#include "solver/ise_solver.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "verify/verify.hpp"
 
 namespace {
 
 using namespace calisched;
 
-int generate_mode(const CliArgs& args) {
+/// Call after a mode has read every flag it defines: whatever is left was
+/// not read, so the mode does not take it.
+bool has_unknown_flags(const CliArgs& args, std::string_view mode) {
+  const std::vector<std::string> unknown = args.unused();
+  for (const std::string& flag : unknown) {
+    std::cerr << "error: unknown flag --" << flag << " for " << mode << '\n';
+  }
+  return !unknown.empty();
+}
+
+/// Registry lookup shared by every mode that takes --algo; reports an
+/// unknown name together with the registered ones.
+const Algorithm* find_algorithm(const std::string& name) {
+  const AlgorithmRegistry& registry = AlgorithmRegistry::builtin();
+  const Algorithm* algorithm = registry.find(name);
+  if (!algorithm) {
+    std::cerr << "unknown algorithm '" << name << "'; registered:";
+    for (const std::string& known : registry.names()) std::cerr << ' ' << known;
+    std::cerr << '\n';
+  }
+  return algorithm;
+}
+
+std::optional<Instance> load_instance(const std::string& path) {
+  std::ifstream file(path);
+  if (!file) {
+    std::cerr << "cannot read " << path << '\n';
+    return std::nullopt;
+  }
+  try {
+    return read_instance(file);
+  } catch (const std::exception& error) {
+    std::cerr << path << ": " << error.what() << '\n';
+    return std::nullopt;
+  }
+}
+
+/// Opens `path` and hands the stream to `write`; false (after a message)
+/// when the file cannot be opened.
+template <class Write>
+bool write_file(const std::string& path, Write&& write) {
+  std::ofstream file(path);
+  if (!file) {
+    std::cerr << "cannot open " << path << " for writing\n";
+    return false;
+  }
+  write(file);
+  return true;
+}
+
+struct GeneratorFlags {
   GenParams params;
+  FamilyOptions options;
+};
+
+/// The generator flags --generate and solve-batch share.
+GeneratorFlags read_generator_flags(const CliArgs& args) {
+  GeneratorFlags flags;
+  GenParams& params = flags.params;
   params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   params.n = static_cast<int>(args.get_int("n", 12));
   params.T = args.get_int("T", 10);
   params.machines = static_cast<int>(args.get_int("machines", 2));
   params.horizon = args.get_int("horizon", 10 * params.T);
   params.max_proc = args.get_int("max-proc", params.T);
+  FamilyOptions& options = flags.options;
+  options.long_fraction = args.get_double("long-fraction", 0.5);
+  options.max_window = args.get_int("max-window", 0);
+  options.bursts = static_cast<int>(args.get_int("bursts", 0));
+  options.burst_span = args.get_int("burst-span", 0);
+  options.long_windows = args.get_bool("long-windows", false);
+  options.mean_gap = args.get_double("mean-gap", 0.0);
+  return flags;
+}
+
+int generate_mode(const CliArgs& args) {
   const std::string family = args.get("generate", "mixed");
-  Instance instance;
-  if (family == "mixed") {
-    instance = generate_mixed(params, args.get_double("long-fraction", 0.5));
-  } else if (family == "long") {
-    instance = generate_long_window(params);
-  } else if (family == "short") {
-    instance = generate_short_window(params);
-  } else if (family == "unit") {
-    instance = generate_unit(params, args.get_int("max-window", 2 * params.T - 1));
-  } else if (family == "clustered") {
-    instance = generate_clustered(params,
-                                  static_cast<int>(args.get_int("bursts", 3)),
-                                  args.get_int("burst-span", params.T),
-                                  args.get_bool("long-windows", false));
-  } else if (family == "calib-cheap-short") {
-    instance = generate_calib_cost(params, CalibTableRegime::kCheapShort);
-  } else if (family == "calib-expensive-long") {
-    instance = generate_calib_cost(params, CalibTableRegime::kExpensiveLong);
-  } else if (family == "calib-delayed") {
-    instance = generate_calib_cost(params, CalibTableRegime::kDelayed);
-  } else if (family == "online-poisson") {
-    instance = generate_online_poisson(params, args.get_double("mean-gap", 0.0));
-  } else if (family == "online-burst") {
-    instance = generate_online_burst(
-        params, static_cast<int>(args.get_int("bursts", 4)));
-  } else if (family == "online-drip") {
-    instance = generate_online_drip(params);
-  } else {
-    std::cerr << "unknown family '" << family
-              << "' (mixed|long|short|unit|clustered|calib-cheap-short|"
-                 "calib-expensive-long|calib-delayed|online-poisson|"
-                 "online-burst|online-drip)\n";
-    return 2;
-  }
+  const GeneratorFlags flags = read_generator_flags(args);
   const std::string out = args.get("out", "");
+  if (has_unknown_flags(args, "--generate")) return 2;
+
+  const Instance instance =
+      generate_family(family, flags.params, flags.options);
   if (out.empty()) {
     write_instance(std::cout, instance);
-  } else {
-    std::ofstream file(out);
-    if (!file) {
-      std::cerr << "cannot open " << out << " for writing\n";
-      return 2;
-    }
-    write_instance(file, instance);
-    std::cout << "wrote " << instance.size() << " jobs to " << out << '\n';
+    return 0;
   }
+  if (!write_file(out, [&](std::ostream& file) {
+        write_instance(file, instance);
+      })) {
+    return 2;
+  }
+  std::cout << "wrote " << instance.size() << " jobs to " << out << '\n';
   return 0;
 }
 
 int solve_batch_mode(const CliArgs& args) {
   const std::string algo = args.get("algo", "combined");
-  const AlgorithmRegistry& registry = AlgorithmRegistry::builtin();
-  const Algorithm* algorithm = registry.find(algo);
-  if (!algorithm) {
-    std::cerr << "unknown algorithm '" << algo << "'; registered:";
-    for (const std::string& name : registry.names()) std::cerr << ' ' << name;
-    std::cerr << '\n';
-    return 2;
-  }
-
-  std::vector<Instance> instances;
   BatchOptions options;
-  const std::vector<std::string>& positional = args.positional();
-  if (positional.size() > 1) {
-    for (std::size_t i = 1; i < positional.size(); ++i) {
-      std::ifstream file(positional[i]);
-      if (!file) {
-        std::cerr << "cannot read " << positional[i] << '\n';
-        return 2;
-      }
-      try {
-        instances.push_back(read_instance(file));
-      } catch (const std::exception& error) {
-        std::cerr << positional[i] << ": " << error.what() << '\n';
-        return 2;
-      }
-    }
-  } else {
-    BatchSpec spec;
-    spec.family = args.get("family", "mixed");
-    spec.count = static_cast<std::size_t>(args.get_int("count", 32));
-    spec.params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    spec.params.n = static_cast<int>(args.get_int("n", 12));
-    spec.params.T = args.get_int("T", 10);
-    spec.params.machines = static_cast<int>(args.get_int("machines", 2));
-    spec.params.horizon = args.get_int("horizon", 10 * spec.params.T);
-    spec.params.max_proc = args.get_int("max-proc", spec.params.T);
-    spec.long_fraction = args.get_double("long-fraction", 0.5);
-    spec.max_window = args.get_int("max-window", 0);
-    spec.bursts = static_cast<int>(args.get_int("bursts", 3));
-    spec.burst_span = args.get_int("burst-span", 0);
-    spec.long_windows = args.get_bool("long-windows", false);
-    try {
-      instances = generate_batch(spec, &options.seeds);
-    } catch (const std::exception& error) {
-      std::cerr << error.what() << '\n';
-      return 2;
-    }
-  }
-
   options.threads = static_cast<std::size_t>(args.get_int("threads", 1));
   const std::int64_t timeout_ms = args.get_int("timeout-ms", 0);
   if (timeout_ms > 0) {
@@ -247,20 +202,43 @@ int solve_batch_mode(const CliArgs& args) {
   options.node_budget = args.get_int("node-budget", 0);
   options.collect_traces = args.get_bool("trace", false);
   const bool include_timing = !args.get_bool("no-timing", false);
+  const std::string out_path = args.get("out", "");
+  // Generator flags belong to solve-batch only when no files are given.
+  const std::vector<std::string> files(args.positional().begin() + 1,
+                                       args.positional().end());
+  BatchSpec spec;
+  if (files.empty()) {
+    spec.family = args.get("family", "mixed");
+    spec.count = static_cast<std::size_t>(args.get_int("count", 32));
+    const GeneratorFlags flags = read_generator_flags(args);
+    spec.params = flags.params;
+    spec.options = flags.options;
+  }
+  const char* mode =
+      files.empty() ? "solve-batch" : "solve-batch with instance files";
+  if (has_unknown_flags(args, mode)) return 2;
+  const Algorithm* algorithm = find_algorithm(algo);
+  if (!algorithm) return 2;
+
+  std::vector<Instance> instances;
+  if (files.empty()) instances = generate_batch(spec, &options.seeds);
+  for (const std::string& path : files) {
+    std::optional<Instance> instance = load_instance(path);
+    if (!instance) return 2;
+    instances.push_back(std::move(*instance));
+  }
 
   const std::vector<BatchRecord> records =
       BatchRunner(*algorithm).run(instances, options);
 
-  const std::string out_path = args.get("out", "");
   if (out_path.empty() || out_path == "-") {
     write_batch_jsonl(std::cout, records, include_timing);
   } else {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "cannot open " << out_path << " for writing\n";
+    if (!write_file(out_path, [&](std::ostream& out) {
+          write_batch_jsonl(out, records, include_timing);
+        })) {
       return 2;
     }
-    write_batch_jsonl(out, records, include_timing);
     std::cout << "wrote " << records.size() << " records to " << out_path
               << '\n';
   }
@@ -274,9 +252,6 @@ int solve_batch_mode(const CliArgs& args) {
   std::cerr << "solve-batch: " << algo << " on " << records.size()
             << " instances, " << solved << " solved, " << limited
             << " limit-stopped\n";
-  for (const std::string& flag : args.unused()) {
-    std::cerr << "warning: unused flag --" << flag << '\n';
-  }
   return 0;
 }
 
@@ -295,6 +270,7 @@ int serve_mode(const CliArgs& args) {
   const std::string backend = args.get("server", "epoll");
   const std::size_t io_threads =
       static_cast<std::size_t>(args.get_int("io-threads", 1));
+  if (has_unknown_flags(args, "serve")) return 2;
   if (!stdio && port < 0) {
     std::cerr << "serve needs --stdio or --port=P\n";
     return 2;
@@ -302,9 +278,6 @@ int serve_mode(const CliArgs& args) {
   if (backend != "epoll" && backend != "threads") {
     std::cerr << "unknown server '" << backend << "' (epoll|threads)\n";
     return 2;
-  }
-  for (const std::string& flag : args.unused()) {
-    std::cerr << "warning: unused flag --" << flag << '\n';
   }
 
   if (stdio) {
@@ -361,30 +334,18 @@ int serve_mode(const CliArgs& args) {
 }
 
 int replay_mode(const CliArgs& args) {
+  const std::string algo = args.get("algo", "online-edf");
+  const bool want_schedule = args.get_bool("schedule", false);
+  if (has_unknown_flags(args, "replay")) return 2;
   const std::vector<std::string>& positional = args.positional();
   if (positional.size() < 2) {
     std::cerr << "replay needs an instance file\n";
     return 2;
   }
-  std::ifstream file(positional[1]);
-  if (!file) {
-    std::cerr << "cannot read " << positional[1] << '\n';
-    return 2;
-  }
-  Instance instance;
-  try {
-    instance = read_instance(file);
-  } catch (const std::exception& error) {
-    std::cerr << positional[1] << ": " << error.what() << '\n';
-    return 2;
-  }
-  const std::string algo = args.get("algo", "online-edf");
-  const bool want_schedule = args.get_bool("schedule", false);
-  for (const std::string& flag : args.unused()) {
-    std::cerr << "warning: unused flag --" << flag << '\n';
-  }
+  const std::optional<Instance> instance = load_instance(positional[1]);
+  if (!instance) return 2;
 
-  const ArrivalTrace trace = ArrivalTrace::from_instance(instance);
+  const ArrivalTrace trace = ArrivalTrace::from_instance(*instance);
   const OnlineResult result = simulate_trace(algo, trace);
   // The stream a subscribe client would see for the same trace, byte for
   // byte: one delta line per advancement (null id — replay has no request
@@ -419,168 +380,39 @@ int replay_mode(const CliArgs& args) {
   return result.feasible ? 0 : 1;
 }
 
-std::shared_ptr<const MachineMinimizer> make_mm(const std::string& name,
-                                                std::int64_t speed,
-                                                ExactEngine engine,
-                                                std::int64_t node_budget) {
-  std::shared_ptr<const MachineMinimizer> box;
-  if (name == "greedy") box = std::make_shared<GreedyEdfMM>();
-  if (name == "exact") {
-    box = std::make_shared<ExactMM>(
-        node_budget > 0 ? node_budget : 4'000'000, engine);
+void print_csv(const Instance& instance, const Schedule& schedule) {
+  Table csv({"kind", "machine", "start", "length"});
+  for (const Calibration& cal : schedule.calibrations) {
+    csv.row()
+        .cell("calibration")
+        .cell(std::int64_t{cal.machine})
+        .cell(cal.start)
+        .cell(schedule.available_end_ticks(cal) -
+              schedule.available_start_ticks(cal));
   }
-  if (name == "unit") box = std::make_shared<UnitEdfMM>();
-  if (name == "lp-rounding") box = std::make_shared<LpRoundingMM>();
-  if (box && speed > 1) box = std::make_shared<SpeedupMM>(box, speed);
-  return box;
+  for (const ScheduledJob& sj : schedule.jobs) {
+    csv.row()
+        .cell("job" + std::to_string(sj.job))
+        .cell(std::int64_t{sj.machine})
+        .cell(sj.start)
+        .cell(schedule.job_duration_ticks(instance.job_by_id(sj.job).proc));
+  }
+  std::cout << '\n';
+  csv.print_csv(std::cout);
 }
 
-struct RunOutcome {
-  bool feasible = false;
-  Schedule schedule;
-  std::string error;
-  CalibrationPolicy policy = CalibrationPolicy::kStrict;
-  bool tise = false;
-};
-
-RunOutcome run_algorithm(const Instance& instance, const CliArgs& args,
-                         const std::string& algo, TraceContext* trace) {
-  RunOutcome outcome;
-  // Same gate the registry applies: algorithms that predate the
-  // calibration-cost model only understand the unit model.
-  const bool model_aware = algo == "exact-calib-cost" ||
-                           algo == "dp-calib-cost" ||
-                           algo == "greedy-calib-cost";
-  if (!model_aware && !instance.is_unit_model()) {
-    outcome.error = "requires the unit calibration model "
-                    "(instance has a caltype table)";
-    return outcome;
-  }
-  LongWindowOptions long_options;
-  long_options.trace = trace;
-  long_options.adaptive_mirror = args.get_bool("adaptive-mirror", false);
-  long_options.prune_empty_calibrations = args.get_bool("prune-empty", false);
-  const std::string lp_engine = args.get("lp-engine", "revised");
-  if (lp_engine == "dense") {
-    long_options.lp.engine = LpEngine::kDenseTableau;
-  } else if (lp_engine == "revised") {
-    long_options.lp.engine = LpEngine::kRevised;
-  } else {
-    outcome.error = "unknown LP engine '" + lp_engine + "' (dense|revised)";
-    return outcome;
-  }
-  IntervalOptions short_options;
-  short_options.trace = trace;
-  short_options.relaxed_calibrations = args.get_bool("relaxed", false);
-  short_options.trim_unused_calibrations = args.get_bool("prune-empty", false);
-  short_options.threads =
-      static_cast<int>(args.get_int("solve-threads", 1));
-  if (short_options.relaxed_calibrations) {
-    outcome.policy = CalibrationPolicy::kOverlapAllowed;
-  }
-  const std::optional<ExactEngine> engine =
-      parse_exact_engine(args.get("exact-engine", "state"));
-  if (!engine) {
-    outcome.error = "unknown exact engine '" + args.get("exact-engine", "") +
-                    "' (state|bnb)";
-    return outcome;
-  }
-  const std::int64_t node_budget = args.get_int("node-budget", 0);
-  const auto mm = make_mm(args.get("mm", "greedy"), args.get_int("mm-speed", 1),
-                          *engine, node_budget);
-  if (!mm) {
-    outcome.error = "unknown MM box (greedy|exact|unit|lp-rounding)";
-    return outcome;
-  }
-
-  if (algo == "combined") {
-    IseSolverOptions options;
-    options.long_window = long_options;
-    options.short_window = short_options;
-    options.mm = mm;
-    options.trace = trace;
-    IseSolveResult result = solve_ise(instance, options);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-  } else if (algo == "long" || algo == "long-speed") {
-    LongWindowResult result = algo == "long"
-                                  ? solve_long_window(instance, long_options)
-                                  : solve_long_window_speed(instance, long_options);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-    outcome.tise = algo == "long";
-  } else if (algo == "short") {
-    ShortWindowResult result = solve_short_window(instance, *mm, short_options);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-  } else if (algo == "greedy-lazy") {
-    BaselineResult result = GreedyLazyIse().solve(instance);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-  } else if (algo == "per-job") {
-    BaselineResult result = PerJobCalibration().solve(instance);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-  } else if (algo == "saturate") {
-    BaselineResult result = SaturateCalibration().solve(instance);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-  } else if (algo == "bender") {
-    BaselineResult result = BenderUnitLazyBinning().solve(instance);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-  } else if (algo == "exact") {
-    ExactIseOptions options;
-    options.engine = *engine;
-    if (node_budget > 0) options.node_budget = node_budget;
-    options.trace = trace;
-    const ExactIseResult result = solve_exact_ise(instance, options);
-    outcome.feasible = result.solved && result.feasible;
-    outcome.schedule = result.schedule;
-    if (!result.solved) outcome.error = "search budget exhausted";
-    else if (!result.feasible) outcome.error = "instance infeasible";
-  } else if (algo == "exact-calib-cost") {
-    const CalibCostResult result = solve_exact_calib_cost(instance);
-    outcome.feasible = result.solved && result.feasible;
-    outcome.schedule = result.schedule;
-    if (!result.solved) outcome.error = "search budget exhausted";
-    else if (!result.feasible) outcome.error = "instance infeasible";
-  } else if (algo == "dp-calib-cost") {
-    const CostDpResult result = solve_cost_dp(instance);
-    outcome.feasible = result.solved && result.feasible;
-    outcome.schedule = result.schedule;
-    if (!result.solved) outcome.error = "DP budget exhausted";
-    else if (!result.feasible) outcome.error = "instance infeasible";
-  } else if (algo == "greedy-calib-cost") {
-    GreedyCostResult result = solve_greedy_cost(instance);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-  } else {
-    outcome.error = "unknown algorithm '" + algo + "'";
-  }
-  return outcome;
-}
-
-int run_cli(int argc, char** argv) {
-  const CliArgs args(argc, argv);
-  if (args.has("generate")) return generate_mode(args);
-  if (!args.positional().empty() && args.positional()[0] == "solve-batch") {
-    return solve_batch_mode(args);
-  }
-  if (!args.positional().empty() && args.positional()[0] == "serve") {
-    return serve_mode(args);
-  }
-  if (!args.positional().empty() && args.positional()[0] == "replay") {
-    return replay_mode(args);
-  }
+int solve_mode(const CliArgs& args) {
+  const std::string algo = args.get("algo", "combined");
+  const bool gantt = args.get_bool("gantt", false);
+  const bool csv = args.get_bool("csv", false);
+  const bool quiet = args.get_bool("quiet", false);
+  const std::string save_path = args.get("save-schedule", "");
+  // A bare --trace-json (parsed as "true") and "-" both mean stdout.
+  const bool want_trace = args.has("trace-json");
+  const std::string trace_path = args.get("trace-json", "");
+  RunLimits limits;
+  limits.node_budget = args.get_int("node-budget", 0);
+  if (has_unknown_flags(args, "calisched FILE")) return 2;
 
   if (args.positional().empty()) {
     std::cerr << "usage: calisched <instance-file> [--algo=NAME] [--gantt] "
@@ -592,56 +424,42 @@ int run_cli(int argc, char** argv) {
                  "[--algo=online-edf] [--schedule]\n";
     return 2;
   }
-  std::ifstream file(args.positional()[0]);
-  if (!file) {
-    std::cerr << "cannot read " << args.positional()[0] << '\n';
+  const Algorithm* algorithm = find_algorithm(algo);
+  if (!algorithm) return 2;
+  if (!algorithm->capabilities().produces_ise_schedule) {
+    std::cerr << algo << " reports a count, not a schedule; run it with "
+                 "`calisched solve-batch FILE --algo="
+              << algo << "`\n";
     return 2;
   }
-  Instance instance;
-  try {
-    instance = read_instance(file);
-  } catch (const std::exception& error) {
-    std::cerr << error.what() << '\n';
-    return 2;
-  }
+  const std::optional<Instance> loaded = load_instance(args.positional()[0]);
+  if (!loaded) return 2;
+  const Instance& instance = *loaded;
 
-  const std::string algo = args.get("algo", "combined");
-  // A bare --trace-json (parsed as "true") and "-" both mean stdout.
-  const bool want_trace = args.has("trace-json");
-  const std::string trace_path = args.get("trace-json", "");
   TraceContext trace(algo == "combined" ? "solve_ise" : algo);
   trace.note("algorithm", algo);
   TraceSpan solve_span(&trace, "solve");
-  const RunOutcome outcome =
-      run_algorithm(instance, args, algo, want_trace ? &trace : nullptr);
+  const RunResult result =
+      algorithm->run(instance, limits, want_trace ? &trace : nullptr);
   solve_span.stop();
-  if (!outcome.feasible) {
-    std::cerr << algo << ": " << outcome.error << '\n';
-    return 1;
-  }
-  const VerifyResult check =
-      verify_ise(instance, outcome.schedule, outcome.tise, outcome.policy);
-  if (!check.ok()) {
-    std::cerr << "INTERNAL ERROR: schedule failed verification\n"
-              << check.to_string();
+  if (!result.feasible) {
+    std::cerr << result.error << '\n';  // "<stage>: <status> (<detail>)"
     return 1;
   }
 
-  const ScheduleStats stats = compute_stats(instance, outcome.schedule);
+  const Schedule& schedule = result.schedule;
+  const ScheduleStats stats = compute_stats(instance, schedule);
   if (want_trace) {
     record_stats(stats, &trace);
     if (trace_path.empty() || trace_path == "-" || trace_path == "true") {
       std::cout << trace.json() << '\n';
-    } else {
-      std::ofstream trace_file(trace_path);
-      if (!trace_file) {
-        std::cerr << "cannot open " << trace_path << " for writing\n";
-        return 2;
-      }
-      trace_file << trace.json() << '\n';
+    } else if (!write_file(trace_path, [&](std::ostream& file) {
+                 file << trace.json() << '\n';
+               })) {
+      return 2;
     }
   }
-  if (!args.get_bool("quiet", false)) {
+  if (!quiet) {
     std::cout << "algorithm        : " << algo << '\n'
               << "jobs             : " << instance.size() << '\n'
               << "calibrations     : " << stats.calibrations;
@@ -652,60 +470,44 @@ int run_cli(int argc, char** argv) {
                 << ")\n";
     } else {
       std::cout << '\n'
-                << "total cost       : " << outcome.schedule.total_cost()
-                << '\n';
+                << "total cost       : " << result.total_cost << '\n';
     }
     std::cout << "machines used    : " << stats.machines_used << '\n'
-              << "speed            : " << outcome.schedule.speed << '\n'
+              << "speed            : " << result.speed << '\n'
               << "utilization      : " << format_double(stats.utilization, 3)
               << '\n'
               << "verified         : ok\n";
   }
-  if (args.get_bool("gantt", false)) {
-    std::cout << '\n' << render_schedule(instance, outcome.schedule);
-  }
-  const std::string save_path = args.get("save-schedule", "");
+  if (gantt) std::cout << '\n' << render_schedule(instance, schedule);
   if (!save_path.empty()) {
-    std::ofstream out(save_path);
-    if (!out) {
-      std::cerr << "cannot open " << save_path << " for writing\n";
+    if (!write_file(save_path, [&](std::ostream& out) {
+          write_schedule(out, schedule);
+        })) {
       return 2;
     }
-    write_schedule(out, outcome.schedule);
     std::cout << "schedule saved to " << save_path << '\n';
   }
-  if (args.get_bool("csv", false)) {
-    Table csv({"kind", "machine", "start", "length"});
-    for (const Calibration& cal : outcome.schedule.calibrations) {
-      csv.row()
-          .cell("calibration")
-          .cell(std::int64_t{cal.machine})
-          .cell(cal.start)
-          .cell(outcome.schedule.available_end_ticks(cal) -
-                outcome.schedule.available_start_ticks(cal));
-    }
-    for (const ScheduledJob& sj : outcome.schedule.jobs) {
-      csv.row()
-          .cell("job" + std::to_string(sj.job))
-          .cell(std::int64_t{sj.machine})
-          .cell(sj.start)
-          .cell(outcome.schedule.job_duration_ticks(
-              instance.job_by_id(sj.job).proc));
-    }
-    std::cout << '\n';
-    csv.print_csv(std::cout);
-  }
-  for (const std::string& flag : args.unused()) {
-    std::cerr << "warning: unused flag --" << flag << '\n';
-  }
+  if (csv) print_csv(instance, schedule);
   return 0;
+}
+
+int run_cli(int argc, char** argv) {
+  const CliArgs args(argc, argv);
+  if (args.has("generate")) return generate_mode(args);
+  const std::string mode =
+      args.positional().empty() ? "" : args.positional()[0];
+  if (mode == "solve-batch") return solve_batch_mode(args);
+  if (mode == "serve") return serve_mode(args);
+  if (mode == "replay") return replay_mode(args);
+  return solve_mode(args);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Flag errors (malformed values, bare '--') are user errors, not crashes:
-  // CliArgs accessors throw std::invalid_argument naming the flag and value.
+  // Flag errors (malformed values, bare '--', an unknown generator family)
+  // are user errors, not crashes: CliArgs accessors and generate_family
+  // throw std::invalid_argument naming the flag or value.
   try {
     return run_cli(argc, argv);
   } catch (const std::invalid_argument& error) {
