@@ -26,9 +26,9 @@
 
 #include "baselines/exact_ise.hpp"
 #include "core/instance.hpp"
-#include "exact/search_stats.hpp"
 #include "harness.hpp"
 #include "mm/mm.hpp"
+#include "trace/trace.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
       "mm", {"n", "engine", "certified", "machines", "nodes", "ms"});
   int mm_max_state = 0;
   int mm_max_bnb = 0;
-  ExactSearchCounters mm_counters;
+  TraceContext mm_trace("exact_mm");  ///< the state-space engine's rungs
   for (const ExactEngine engine :
        {ExactEngine::kStateSpace, ExactEngine::kBranchBound}) {
     const bool is_state = engine == ExactEngine::kStateSpace;
@@ -81,15 +81,11 @@ int main(int argc, char** argv) {
       const Instance instance = wave_instance(k, 6, 12, 6, 4, 1'000'000, 1);
       const int n = 6 * k;
       const ExactMM mm(kBudget, engine);
-      exact_search_reset();
       const auto start = std::chrono::steady_clock::now();
-      const MMResult result = mm.minimize(instance);
+      const MMResult result =
+          mm.minimize(instance, is_state ? &mm_trace : nullptr);
       const double ms = elapsed_ms(start);
       const bool certified = result.feasible && result.algorithm == mm.name();
-      if (is_state) {
-        const ExactSearchCounters delta = exact_search_snapshot();
-        mm_counters = mm_counters + delta;
-      }
       mm_table.row()
           .cell(static_cast<std::int64_t>(n))
           .cell(mm.name())
@@ -114,7 +110,7 @@ int main(int argc, char** argv) {
   int ise_max_state = 0;
   int ise_max_bnb = 0;
   std::vector<std::int64_t> state_optima;  // indexed by ladder step
-  ExactSearchCounters ise_counters;
+  TraceContext ise_trace("exact_ise");  ///< the state-space engine's rungs
   for (const ExactEngine engine :
        {ExactEngine::kStateSpace, ExactEngine::kBranchBound}) {
     const bool is_state = engine == ExactEngine::kStateSpace;
@@ -126,15 +122,11 @@ int main(int argc, char** argv) {
       options.engine = engine;
       options.node_budget = kBudget;
       options.max_calibrations = 999;
-      exact_search_reset();
+      options.trace = is_state ? &ise_trace : nullptr;
       const auto start = std::chrono::steady_clock::now();
       const ExactIseResult result = solve_exact_ise(instance, options);
       const double ms = elapsed_ms(start);
       const bool certified = result.solved && result.feasible;
-      if (is_state) {
-        const ExactSearchCounters delta = exact_search_snapshot();
-        ise_counters = ise_counters + delta;
-      }
       ise_table.row()
           .cell(static_cast<std::int64_t>(n))
           .cell(is_state ? "state-space" : "bnb")
@@ -167,21 +159,21 @@ int main(int argc, char** argv) {
   bench.metric("ise_max_certified_n_state", ise_max_state);
   bench.metric("ise_max_certified_n_bnb", ise_max_bnb);
   bench.metric("mm_states_created",
-               static_cast<double>(mm_counters.states_created));
+               static_cast<double>(mm_trace.counter("state_space.states")));
   bench.metric("mm_states_merged",
-               static_cast<double>(mm_counters.states_merged));
+               static_cast<double>(mm_trace.counter("state_space.merged")));
   bench.metric("mm_states_dominated",
-               static_cast<double>(mm_counters.states_dominated));
+               static_cast<double>(mm_trace.counter("state_space.dominated")));
   bench.metric("mm_states_pruned",
-               static_cast<double>(mm_counters.states_pruned));
+               static_cast<double>(mm_trace.counter("state_space.pruned")));
   bench.metric("ise_states_created",
-               static_cast<double>(ise_counters.states_created));
+               static_cast<double>(ise_trace.counter("state_space.states")));
   bench.metric("ise_states_merged",
-               static_cast<double>(ise_counters.states_merged));
+               static_cast<double>(ise_trace.counter("state_space.merged")));
   bench.metric("ise_states_dominated",
-               static_cast<double>(ise_counters.states_dominated));
+               static_cast<double>(ise_trace.counter("state_space.dominated")));
   bench.metric("ise_states_pruned",
-               static_cast<double>(ise_counters.states_pruned));
+               static_cast<double>(ise_trace.counter("state_space.pruned")));
 
   bench.check("optima_agree_where_both_certify", optima_agree);
   bench.check("all_schedules_verified", all_verified);

@@ -14,7 +14,6 @@
 #include "gen/generators.hpp"
 #include "harness.hpp"
 #include "longwin/tise_lp.hpp"
-#include "lp/perf_counters.hpp"
 #include "trace/trace.hpp"
 
 namespace {
@@ -52,7 +51,8 @@ int main(int argc, char** argv) {
   double last_speedup = 0.0;
   double worst_obj_diff = 0.0;
   double revised_wall_ms = 0.0;  ///< total revised wall time across reps
-  const LpPerfCounters sweep_base = lp_perf_snapshot();
+  constexpr int kRevisedReps = 3;
+  TraceContext revised_sweep("rev_total");  ///< every revised rep of the sweep
   for (const int n : {6, 10, 14, 20, 26, 32}) {
     GenParams params;
     params.seed = 42 + static_cast<std::uint64_t>(n);
@@ -82,12 +82,12 @@ int main(int argc, char** argv) {
         dense_once,
         time_ms([&] { dense = solve_lp(built.model, dense_options); },
                 dense_reps));
-    // The counter delta spans all revised reps (the dense engine does not
-    // touch the LP perf counters), so rates divide by total wall, not best.
-    const LpPerfCounters rev_before = lp_perf_snapshot();
+    // revised_trace sums the work of all revised reps (the dense solves
+    // are untraced), so rates divide by total wall, not best.
     const auto rev_start = std::chrono::steady_clock::now();
     const double revised_ms = time_ms(
-        [&] { revised = solve_lp(built.model, revised_options); }, 3);
+        [&] { revised = solve_lp(built.model, revised_options); },
+        kRevisedReps);
     const double rev_total_ms =
         static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -95,9 +95,9 @@ int main(int argc, char** argv) {
                 .count()) /
         1e6;
     revised_wall_ms += rev_total_ms;
-    bench.lp_counters("rev_n" + std::to_string(n),
-                      lp_perf_snapshot() - rev_before, rev_total_ms,
-                      /*record_metrics=*/false);
+    bench.lp_counters("rev_n" + std::to_string(n), revised_trace,
+                      rev_total_ms, /*record_metrics=*/false);
+    revised_sweep.absorb(revised_trace);
 
     const double speedup = revised_ms > 0.0 ? dense_ms / revised_ms : 0.0;
     const double obj_diff = std::fabs(dense.objective - revised.objective);
@@ -118,13 +118,12 @@ int main(int argc, char** argv) {
         .cell(speedup, 1)
         .cell(dense.phase1_pivots + dense.phase2_pivots)
         .cell(revised.phase1_pivots + revised.phase2_pivots)
-        .cell(revised_trace.counter("refactor.count"))
+        .cell(revised_trace.counter("refactor.count") / kRevisedReps)
         .cell(obj_diff, 9);
   }
   bench.print_table("engines",
                     "TISE LP (T=10, m=2, m'=6), both engines to optimality");
-  bench.lp_counters("rev_total", lp_perf_snapshot() - sweep_base,
-                    revised_wall_ms);
+  bench.lp_counters("rev_total", revised_sweep, revised_wall_ms);
   bench.print_table("lp_counters",
                     "revised-engine work counters (all reps; counts are "
                     "deterministic, *_per_s rates are machine-dependent)");

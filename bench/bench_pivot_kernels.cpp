@@ -24,10 +24,10 @@
 #include "gen/generators.hpp"
 #include "harness.hpp"
 #include "longwin/tise_lp.hpp"
-#include "lp/perf_counters.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "lp/sparse.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -88,7 +88,8 @@ int main(int argc, char** argv) {
   constexpr int kSolveReps = 5;
   double cold_objective = 0.0;
 
-  const LpPerfCounters cold_before = lp_perf_snapshot();
+  TraceContext cold_trace("simplex");
+  revised_options.trace = &cold_trace;
   const auto cold_start = std::chrono::steady_clock::now();
   for (int rep = 0; rep < kSolveReps; ++rep) {
     SimplexWorkspace fresh;  // new arena per solve: every buffer regrows
@@ -97,21 +98,21 @@ int main(int argc, char** argv) {
     cold_objective = solution.objective;
   }
   const double cold_ms = wall_ms_since(cold_start);
-  bench.lp_counters("cold", lp_perf_snapshot() - cold_before, cold_ms,
-                    /*record_metrics=*/false);
+  bench.lp_counters("cold", cold_trace, cold_ms, /*record_metrics=*/false);
 
   SimplexWorkspace shared;
   revised_options.workspace = &shared;
+  revised_options.trace = nullptr;
   double warm_objective = 0.0;
   warm_objective = solve_lp(built.model, revised_options).objective;  // warmup
-  const LpPerfCounters warm_before = lp_perf_snapshot();
+  TraceContext warm_trace("simplex");
+  revised_options.trace = &warm_trace;
   const auto warm_start = std::chrono::steady_clock::now();
   for (int rep = 0; rep < kSolveReps; ++rep) {
     warm_objective = solve_lp(built.model, revised_options).objective;
   }
   const double warm_ms = wall_ms_since(warm_start);
-  const LpPerfCounters warm_delta = lp_perf_snapshot() - warm_before;
-  bench.lp_counters("warm", warm_delta, warm_ms);
+  bench.lp_counters("warm", warm_trace, warm_ms);
   bench.print_table("lp_counters",
                     "n=32 TISE LP x" + std::to_string(kSolveReps) +
                         ": fresh arena per solve vs one reused arena");
@@ -123,9 +124,9 @@ int main(int argc, char** argv) {
   // The sanitizer jobs run this binary for these two checks: a reused
   // arena at working size must stop allocating entirely.
   bench.check("warm workspace stops allocating",
-              warm_delta.buffer_growths == 0);
+              warm_trace.counter("workspace.grown") == 0);
   bench.check("warm solves all reuse the workspace",
-              warm_delta.workspace_reuses == kSolveReps);
+              warm_trace.counter("workspace.reused") == kSolveReps);
 
   // --- kernel layer: synthetic operands, fixed repetition counts ---------
   constexpr int kRows = 1024;       // dense vector length

@@ -27,7 +27,6 @@
 #include "harness.hpp"
 #include "longwin/long_pipeline.hpp"
 #include "longwin/tise_lp.hpp"
-#include "lp/perf_counters.hpp"
 #include "mm/lp_rounding_mm.hpp"
 #include "mm/mm.hpp"
 #include "shortwin/short_pipeline.hpp"
@@ -104,10 +103,12 @@ int main(int argc, char** argv) {
   for (const int n : {6, 12, 18, 24}) {
     const Instance instance = generate_long_window(scaling_params(n, 42));
     TiseFractional fractional;
-    const LpPerfCounters lp_before = lp_perf_snapshot();
+    TraceContext lp_trace("simplex");
+    SimplexOptions lp_options;
+    lp_options.trace = &lp_trace;
     const auto lp_start = std::chrono::steady_clock::now();
     const Timing timing = measure([&] {
-      fractional = solve_tise_lp(instance, 3 * instance.machines);
+      fractional = solve_tise_lp(instance, 3 * instance.machines, lp_options);
       g_sink = fractional.objective;
     });
     const double lp_total_ms =
@@ -120,13 +121,14 @@ int main(int argc, char** argv) {
     // from the first timing, so the *totals* here are machine-dependent
     // even though per-solve work is deterministic. The rates are what the
     // sweep is for — how pivots/s holds up as n grows.
-    const LpPerfCounters lp_delta = lp_perf_snapshot() - lp_before;
-    bench.lp_counters("tise_n" + std::to_string(n), lp_delta, lp_total_ms,
+    bench.lp_counters("tise_n" + std::to_string(n), lp_trace, lp_total_ms,
                       /*record_metrics=*/false);
     if (n == 24 && lp_total_ms > 0.0) {
+      const std::int64_t pivots = lp_trace.counter("pivots.phase1") +
+                                  lp_trace.counter("pivots.phase2") +
+                                  lp_trace.counter("pivots.expel");
       bench.metric("tise_n24_pivots_per_s",
-                   static_cast<double>(lp_delta.pivots) /
-                       (lp_total_ms / 1e3));
+                   static_cast<double>(pivots) / (lp_total_ms / 1e3));
     }
     record("tise_lp_solve", n, timing,
            "pivots=" + std::to_string(fractional.pivots) +

@@ -11,6 +11,36 @@ namespace {
 [[nodiscard]] bool targets_stdout(const std::string& path) {
   return path.empty() || path == "-" || path == "true";
 }
+
+/// Revised-simplex work summed over a trace tree.
+struct LpWork {
+  std::int64_t solves = 0;
+  std::int64_t pivots = 0;
+  std::int64_t etas_applied = 0;
+  std::int64_t entries_streamed = 0;  ///< eta + pricing nonzeros
+  std::int64_t refactorizations = 0;
+  std::int64_t workspace_reuses = 0;
+  std::int64_t buffer_growths = 0;
+};
+
+/// Adds every context a revised solve recorded into (the ones carrying a
+/// `solves` counter), so a trace passed straight to SimplexOptions and a
+/// pipeline trace with nested "simplex" children both sum correctly.
+void sum_lp_work(const TraceContext& context, LpWork& work) {
+  if (context.has_counter("solves")) {
+    work.solves += context.counter("solves");
+    work.pivots += context.counter("pivots.phase1") +
+                   context.counter("pivots.phase2") +
+                   context.counter("pivots.expel");
+    work.etas_applied += context.counter("eta.applied");
+    work.entries_streamed +=
+        context.counter("eta.entries") + context.counter("pricing.entries");
+    work.refactorizations += context.counter("refactor.count");
+    work.workspace_reuses += context.counter("workspace.reused");
+    work.buffer_growths += context.counter("workspace.grown");
+  }
+  for (const auto& child : context.children()) sum_lp_work(*child, work);
+}
 }  // namespace
 
 BenchHarness::BenchHarness(std::string id, std::string title, int argc,
@@ -54,8 +84,10 @@ void BenchHarness::metric(const std::string& name, double value) {
 }
 
 void BenchHarness::lp_counters(const std::string& label,
-                               const LpPerfCounters& delta, double elapsed_ms,
+                               const TraceContext& trace, double elapsed_ms,
                                bool record_metrics) {
+  LpWork delta;
+  sum_lp_work(trace, delta);
   Table& counters = table(
       "lp_counters", {"case", "solves", "pivots", "refactors", "pivots_per_s",
                       "etas_per_s", "bytes_per_pivot", "ws_reuse", "buf_growth"});
@@ -64,10 +96,14 @@ void BenchHarness::lp_counters(const std::string& label,
       seconds > 0.0 ? static_cast<double>(delta.pivots) / seconds : 0.0;
   const double etas_per_s =
       seconds > 0.0 ? static_cast<double>(delta.etas_applied) / seconds : 0.0;
+  // Every streamed entry is one (value, row index) pair from a nonzero pool.
+  constexpr std::int64_t kEntryBytes =
+      static_cast<std::int64_t>(sizeof(double) + sizeof(int));
   const double bytes_per_pivot =
-      delta.pivots > 0 ? static_cast<double>(delta.bytes_streamed()) /
-                             static_cast<double>(delta.pivots)
-                       : 0.0;
+      delta.pivots > 0
+          ? static_cast<double>(delta.entries_streamed * kEntryBytes) /
+                static_cast<double>(delta.pivots)
+          : 0.0;
   counters.row()
       .cell(label)
       .cell(delta.solves)

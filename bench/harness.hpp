@@ -30,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "lp/perf_counters.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -70,15 +69,16 @@ class BenchHarness {
   /// Records a named scalar into the JSON record (and the trace).
   void metric(const std::string& name, double value);
 
-  /// Records one row of the shared "lp_counters" table from an LP
-  /// perf-counter delta (lp_perf_snapshot() before/after a timed region)
-  /// plus the wall time of that region. With `record_metrics`, the
+  /// Records one row of the shared "lp_counters" table from the revised-
+  /// simplex work in `trace` (summed over every context in its tree that a
+  /// solve recorded into; pass a fresh trace to the solves of one timed
+  /// region) plus the wall time of that region. With `record_metrics`, the
   /// deterministic work counts (pivots, etas applied, bytes/pivot,
   /// workspace reuses, buffer growths) are also registered as gated
   /// "<label>_*" metrics, while the derived rates get "_per_s" names the
   /// regression checker treats as advisory — counts reproduce across
   /// machines, rates do not.
-  void lp_counters(const std::string& label, const LpPerfCounters& delta,
+  void lp_counters(const std::string& label, const TraceContext& trace,
                    double elapsed_ms, bool record_metrics = true);
 
   /// Records a self-check. A failed check prints immediately and makes

@@ -107,6 +107,25 @@ std::vector<std::int32_t> twin_prev_links(const Instance& instance) {
   return prev;
 }
 
+/// One search's work tally, kept in plain locals so the expansion loop
+/// touches no shared state; record() adds it to the caller's trace once,
+/// when the search ends (completed or stopped).
+struct ExactSearchCounters {
+  std::int64_t states_created = 0;    ///< candidate states built (budget unit)
+  std::int64_t states_merged = 0;     ///< re-reached an identical state
+  std::int64_t states_dominated = 0;  ///< killed by the dominance rules
+  std::int64_t states_pruned = 0;     ///< dead-job or calibration-cap pruned
+  std::int64_t states_expanded = 0;   ///< states whose children were generated
+
+  void record(TraceContext* trace) const {
+    trace_add(trace, "state_space.states", states_created);
+    trace_add(trace, "state_space.merged", states_merged);
+    trace_add(trace, "state_space.dominated", states_dominated);
+    trace_add(trace, "state_space.pruned", states_pruned);
+    trace_add(trace, "state_space.expanded", states_expanded);
+  }
+};
+
 // ------------------------------------------------------------------- MM --
 
 class MmExplorer {
@@ -135,7 +154,6 @@ class MmExplorer {
     std::vector<std::uint32_t> current{0};
     for (std::size_t layer = 0; layer < n_ && !current.empty(); ++layer) {
       TraceSpan span(trace_, "layer");
-      ++counters_.layers;
       bucket_.clear();
       next_.clear();
       for (const std::uint32_t id : current) {
@@ -169,11 +187,7 @@ class MmExplorer {
 
   StateSpaceMmResult finish(StateSpaceMmResult result) {
     result.states = counters_.states_created;
-    counters_.searches = 1;
-    exact_search_accumulate(counters_);
-    trace_add(trace_, "state_space.states", counters_.states_created);
-    trace_add(trace_, "state_space.merged", counters_.states_merged);
-    trace_add(trace_, "state_space.dominated", counters_.states_dominated);
+    counters_.record(trace_);
     return result;
   }
 
@@ -452,7 +466,6 @@ class IseExplorer {
     std::vector<std::uint32_t> current{0};
     for (std::size_t layer = 0; layer < n_ && !current.empty(); ++layer) {
       TraceSpan span(trace_, "layer");
-      ++counters_.layers;
       bucket_.clear();
       next_.clear();
       for (const std::uint32_t id : current) {
@@ -495,11 +508,7 @@ class IseExplorer {
 
   StateSpaceIseResult finish(StateSpaceIseResult result) {
     result.states = counters_.states_created;
-    counters_.searches = 1;
-    exact_search_accumulate(counters_);
-    trace_add(trace_, "state_space.states", counters_.states_created);
-    trace_add(trace_, "state_space.merged", counters_.states_merged);
-    trace_add(trace_, "state_space.dominated", counters_.states_dominated);
+    counters_.record(trace_);
     return result;
   }
 

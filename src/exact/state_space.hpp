@@ -23,14 +23,14 @@
 // Budgets: `state_budget` caps candidate states built (the analogue of
 // branch-and-bound nodes). Exhaustion — like a RunLimits stop — returns
 // the matching non-kOk status and never masquerades as an infeasibility
-// verdict. Work counters flush into exact_search_snapshot() per search,
-// and a trace span named "layer" is recorded per exploration layer.
+// verdict. Each search adds its work counters to the caller's trace
+// (`state_space.{states,merged,dominated,pruned,expanded}`) when it ends,
+// and records a span named "layer" per exploration layer.
 #pragma once
 
 #include <cstdint>
 
 #include "core/schedule.hpp"
-#include "exact/search_stats.hpp"
 #include "runtime/limits.hpp"
 #include "runtime/status.hpp"
 #include "verify/verify.hpp"

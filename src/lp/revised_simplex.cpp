@@ -6,7 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "lp/perf_counters.hpp"
 #include "lp/sparse.hpp"
 #include "trace/trace.hpp"
 
@@ -309,11 +308,11 @@ struct SimplexWorkspace::Impl {
   std::vector<std::size_t> bk_pos;
   std::vector<int> rf_heap;  ///< pending-eta heap for ftran_indexed
   /// True once a solve has run in this arena; the next solve in it counts
-  /// as a workspace reuse (LpPerfCounters::workspace_reuses).
+  /// as a workspace reuse (trace key `workspace.reused`).
   bool used_before = false;
 
   /// Total capacity held across every buffer. The per-solve growth
-  /// detector (LpPerfCounters::buffer_growths) compares this before and
+  /// detector (trace key `workspace.grown`) compares this before and
   /// after a solve: once a reused arena reaches its family's working size
   /// the delta must be zero — the ASan CI job asserts exactly that.
   [[nodiscard]] std::size_t capacity_bytes() const noexcept {
@@ -393,29 +392,16 @@ class RevisedSimplex {
     build(model);
   }
 
-  /// Flushes this solve's work tallies into the process-wide counters —
-  /// the destructor so every return path (optimal, stopped, infeasible,
-  /// iteration-limited) reports exactly once, with one atomic add per
-  /// field (lp/perf_counters.hpp).
-  ~RevisedSimplex() {
-    LpPerfCounters delta;
-    delta.solves = 1;
-    delta.pivots = total_pivots_;
-    const KernelStats eta_stats = etas_.take_stats();
-    const KernelStats fresh_stats = fresh_.take_stats();
-    delta.etas_applied = eta_stats.fired + fresh_stats.fired;
-    delta.eta_entries = eta_stats.entries + fresh_stats.entries;
-    const KernelStats pricing = matrix_.take_stats();
-    delta.pricing_columns = pricing.fired;
-    delta.pricing_entries = pricing.entries;
-    delta.refactorizations = refactor_count_;
-    delta.workspace_reuses = workspace_reused_ ? 1 : 0;
-    delta.buffer_growths =
-        scratch_->capacity_bytes() > capacity_bytes_before_ ? 1 : 0;
-    lp_perf_accumulate(delta);
+  /// Runs the solve and records its work into the trace once, whichever
+  /// way the phases ended (optimal, stopped, infeasible, iteration-limited).
+  LpSolution solve() {
+    LpSolution solution = run_phases();
+    record_work(solution);
+    return solution;
   }
 
-  LpSolution solve() {
+ private:
+  LpSolution run_phases() {
     LpSolution solution;
     trace_set(options_.trace, "revised.rows", rows_);
     trace_set(options_.trace, "revised.columns", total_cols_);
@@ -438,7 +424,6 @@ class RevisedSimplex {
       const RunResult phase1 = run(costs1_, /*allow_artificial_entering=*/true,
                                    solution.phase1_pivots);
       span.stop();
-      flush_counters(solution);
       if (phase1 == RunResult::kStopped) {
         solution.status = stop_status();
         return solution;
@@ -459,7 +444,6 @@ class RevisedSimplex {
     const RunResult phase2 = run(costs2_, /*allow_artificial_entering=*/false,
                                  solution.phase2_pivots);
     phase2_span.stop();
-    flush_counters(solution);
     switch (phase2) {
       case RunResult::kOptimal: solution.status = LpStatus::kOptimal; break;
       case RunResult::kUnbounded:
@@ -487,7 +471,6 @@ class RevisedSimplex {
     return solution;
   }
 
- private:
   enum class RunResult { kOptimal, kUnbounded, kIterationLimit, kStopped };
 
   /// LpStatus for a kStopped run (deadline vs cancellation).
@@ -837,7 +820,6 @@ class RevisedSimplex {
       if (r != leaving_row) etas_.push(r, w);
     }
     ++etas_since_refactor_;
-    ++total_pivots_;
     eta_peak_ = std::max(eta_peak_, static_cast<std::int64_t>(etas_.size()));
     in_basis_[static_cast<std::size_t>(basis_[lr])] = 0;
     in_basis_[static_cast<std::size_t>(entering_column)] = 1;
@@ -1126,22 +1108,37 @@ class RevisedSimplex {
     }
   }
 
-  /// Mirrors cumulative counters into the trace sink; called after each
-  /// phase so an iteration-limited solve still reports.
-  void flush_counters(const LpSolution& solution) {
+  /// Adds this solve's work to the trace sink. Every tally is added, not
+  /// set, so one trace handed to N sequential solves reports their sum —
+  /// the same totals absorb() gives for N scratch traces. The peak/level
+  /// gauges (eta.peak, eta.nnz, refactor.bump.peak) are added too, which
+  /// matches absorb()'s documented sum-of-peaks semantics.
+  void record_work(const LpSolution& solution) {
+    // Drain the kernel tallies even untraced: they live in the (reusable)
+    // workspace and would otherwise leak into the next traced solve.
+    const KernelStats eta_stats = etas_.take_stats();
+    const KernelStats fresh_stats = fresh_.take_stats();
+    const KernelStats pricing = matrix_.take_stats();
     TraceContext* trace = options_.trace;
     if (!trace) return;
-    trace->set("pivots.phase1", solution.phase1_pivots);
-    trace->set("pivots.phase2", solution.phase2_pivots);
-    trace->set("pivots.expel", solution.expel_pivots);
-    trace->set("bland.activations", bland_activations_);
-    trace->set("refactor.count", refactor_count_);
-    trace->set("refactor.failures", refactor_failures_);
-    trace->set("refactor.bump.peak", bump_peak_);
-    trace->set("eta.peak", eta_peak_);
-    trace->set("eta.nnz", static_cast<std::int64_t>(etas_.num_nonzeros()));
-    trace->set("pricing.sections", pricing_sections_);
-    trace->set("workspace.reused", workspace_reused_ ? 1 : 0);
+    trace->add("pivots.phase1", solution.phase1_pivots);
+    trace->add("pivots.phase2", solution.phase2_pivots);
+    trace->add("pivots.expel", solution.expel_pivots);
+    trace->add("bland.activations", bland_activations_);
+    trace->add("refactor.count", refactor_count_);
+    trace->add("refactor.failures", refactor_failures_);
+    trace->add("refactor.bump.peak", bump_peak_);
+    trace->add("eta.peak", eta_peak_);
+    trace->add("eta.nnz", static_cast<std::int64_t>(etas_.num_nonzeros()));
+    trace->add("pricing.sections", pricing_sections_);
+    trace->add("workspace.reused", workspace_reused_ ? 1 : 0);
+    trace->add("workspace.grown",
+               scratch_->capacity_bytes() > capacity_bytes_before_ ? 1 : 0);
+    trace->add("solves");
+    trace->add("eta.applied", eta_stats.fired + fresh_stats.fired);
+    trace->add("eta.entries", eta_stats.entries + fresh_stats.entries);
+    trace->add("pricing.columns", pricing.fired);
+    trace->add("pricing.entries", pricing.entries);
   }
 
   SimplexOptions options_;
@@ -1194,7 +1191,6 @@ class RevisedSimplex {
   int etas_since_refactor_ = 0;
   bool workspace_reused_ = false;
   std::size_t capacity_bytes_before_ = 0;
-  std::int64_t total_pivots_ = 0;
   std::int64_t bland_activations_ = 0;
   std::int64_t refactor_count_ = 0;
   std::int64_t refactor_failures_ = 0;

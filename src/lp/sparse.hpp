@@ -20,8 +20,10 @@
 // four ways; the accumulator split reassociates the sum, which both
 // engines' tolerances absorb (the dense oracle differs in operation order
 // anyway). Each kernel counts the etas it fired and the entries it
-// streamed into mutable tallies (take_stats()), feeding the process-wide
-// LpPerfCounters without touching shared cache lines mid-solve.
+// streamed into mutable tallies (take_stats()); the engine drains them
+// once per solve into the solve's trace (`eta.applied`, `eta.entries`,
+// `pricing.columns`, `pricing.entries`), so the kernels touch no shared
+// state mid-solve.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +32,8 @@
 
 namespace calisched {
 
-/// Work tallies drained by the engine once per solve (see
-/// lp/perf_counters.hpp for the process-wide aggregate they feed).
+/// Work tallies drained by the engine once per solve and added to the
+/// solve's trace (lp/revised_simplex.cpp, RevisedSimplex::record_work).
 struct KernelStats {
   std::int64_t fired = 0;    ///< eta applications / columns dotted
   std::int64_t entries = 0;  ///< nonzero (value, row) pairs streamed

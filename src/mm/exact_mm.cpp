@@ -133,7 +133,8 @@ class FeasibilitySearch {
 MMFeasibility exact_mm_feasibility(const Instance& instance, int machines,
                                    ExactEngine engine,
                                    std::int64_t node_budget,
-                                   const RunLimits& limits) {
+                                   const RunLimits& limits,
+                                   TraceContext* trace) {
   MMFeasibility result;
   if (instance.empty()) {
     result.feasible = true;
@@ -142,7 +143,7 @@ MMFeasibility exact_mm_feasibility(const Instance& instance, int machines,
   }
   if (engine == ExactEngine::kStateSpace) {
     StateSpaceMmResult found =
-        state_space_mm_feasible(instance, machines, node_budget, limits);
+        state_space_mm_feasible(instance, machines, node_budget, limits, trace);
     result.status = found.status;
     result.feasible = found.feasible;
     result.schedule = std::move(found.schedule);
@@ -162,6 +163,12 @@ MMFeasibility exact_mm_feasibility(const Instance& instance, int machines,
 
 MMResult ExactMM::minimize(const Instance& instance,
                            const RunLimits& limits) const {
+  return minimize_traced(instance, limits, nullptr);
+}
+
+MMResult ExactMM::minimize_traced(const Instance& instance,
+                                  const RunLimits& limits,
+                                  TraceContext* trace) const {
   MMResult result;
   result.algorithm = name();
   if (instance.empty()) {
@@ -174,7 +181,7 @@ MMResult ExactMM::minimize(const Instance& instance,
   const int n = static_cast<int>(instance.size());
   for (int m = mm_lower_bound(instance); m <= n; ++m) {
     MMFeasibility search =
-        exact_mm_feasibility(instance, m, engine_, budget, limits);
+        exact_mm_feasibility(instance, m, engine_, budget, limits, trace);
     result.search_nodes += search.nodes;
     if (search.status == SolveStatus::kLimitExceeded) {
       // Node/state budget: give up on exactness; report the greedy

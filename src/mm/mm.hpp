@@ -109,6 +109,13 @@ class ExactMM final : public MachineMinimizer {
     return engine_ == ExactEngine::kStateSpace ? "exact-state" : "exact-bnb";
   }
 
+ protected:
+  /// Forwards the caller's trace to the state-space search, which adds its
+  /// `state_space.*` work counters there.
+  [[nodiscard]] MMResult minimize_traced(const Instance& instance,
+                                         const RunLimits& limits,
+                                         TraceContext* trace) const override;
+
  private:
   std::int64_t node_budget_;
   ExactEngine engine_;
@@ -160,11 +167,13 @@ struct MMFeasibility {
 
 /// Nonpreemptive feasibility of `instance` on exactly `machines` machines,
 /// via the engine of choice (the same searches ExactMM uses). Budget
-/// exhaustion reports kLimitExceeded, never a feasibility verdict.
+/// exhaustion reports kLimitExceeded, never a feasibility verdict. The
+/// state-space engine adds its `state_space.*` work counters to `trace`.
 [[nodiscard]] MMFeasibility exact_mm_feasibility(
     const Instance& instance, int machines,
     ExactEngine engine = ExactEngine::kStateSpace,
     std::int64_t node_budget = 4'000'000,
-    const RunLimits& limits = RunLimits::none());
+    const RunLimits& limits = RunLimits::none(),
+    TraceContext* trace = nullptr);
 
 }  // namespace calisched

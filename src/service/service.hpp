@@ -28,8 +28,9 @@
 // the decisive lookup happened.
 //
 // Locking: the counters (requests, accepted, rejects, cache hits/misses,
-// completions) are relaxed atomics in the lp/perf_counters style, the
-// result cache locks only the shard the instance hash routes to, and the
+// completions) are independent relaxed atomics (each a monotone sum read
+// as a snapshot), the result cache locks only the shard the instance hash
+// routes to, and the
 // one remaining mutex guards the pause gate + admission state. Concurrent
 // connections therefore contend on nothing when traffic is cache hits in
 // distinct shards. stats() snapshots are exact once in-flight requests

@@ -1,8 +1,10 @@
-// Sharded LRU result cache: N independently-locked LruCache shards, the
-// shard picked by a prefix (top bits) of the permutation-invariant
-// canonical instance hash.
+// Sharded LRU result cache: N independently-locked LRU shards, the shard
+// picked by a prefix (top bits) of the permutation-invariant canonical
+// instance hash. Each shard is a fixed-capacity list-plus-index LRU map:
+// most-recently-used entries at the front, O(1) get/put through an index
+// map, the least-recently-used entry evicted when a put overflows it.
 //
-// Why sharding: the service used to guard one LruCache with the same
+// Why sharding: the service used to guard one LRU map with the same
 // mutex that ordered admission and the counters, so every concurrent
 // connection serialized on one lock even when all traffic was cache hits.
 // Each shard owns its own mutex and its own recency list; two requests
@@ -21,11 +23,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
+#include <utility>
 #include <vector>
-
-#include "service/lru_cache.hpp"
 
 namespace calisched {
 
@@ -34,7 +37,7 @@ class ShardedLruCache {
  public:
   /// `capacity` is the total entry budget, split evenly (rounded up)
   /// across `shards`; capacity 0 disables caching entirely. A shard count
-  /// of 0 or 1 degenerates to one LruCache behind one mutex — byte-for-
+  /// of 0 or 1 degenerates to one LRU map behind one mutex — byte-for-
   /// byte the pre-sharding semantics.
   ShardedLruCache(std::size_t capacity, std::size_t shards)
       : capacity_(capacity) {
@@ -60,25 +63,37 @@ class ShardedLruCache {
   }
 
   /// Copies the cached value out under the shard lock (promoting the
-  /// entry), or returns false on a miss. A copy, not a pointer: the
-  /// pointer-returning LruCache::get contract only holds while the one
-  /// service mutex stayed locked; with per-shard locks a stable reference
-  /// would race the next put.
+  /// entry to most-recently-used), or returns false on a miss. A copy,
+  /// not a pointer: with per-shard locks a stable reference would race
+  /// the next put.
   [[nodiscard]] bool get(std::uint64_t hash, const Key& key, Value* out) {
     Shard& shard = *shards_[shard_index(hash)];
     std::scoped_lock lock(shard.mutex);
-    if (const Value* found = shard.cache.get(key)) {
-      *out = *found;
-      return true;
-    }
-    return false;
+    const auto it = shard.index.find(key);
+    if (it == shard.index.end()) return false;
+    shard.entries.splice(shard.entries.begin(), shard.entries, it->second);
+    *out = it->second->second;
+    return true;
   }
 
+  /// Inserts or overwrites; the entry becomes most-recently-used and the
+  /// shard's least-recently-used entry is evicted when over capacity.
   void put(std::uint64_t hash, const Key& key, Value value) {
     if (capacity_ == 0) return;
     Shard& shard = *shards_[shard_index(hash)];
     std::scoped_lock lock(shard.mutex);
-    shard.cache.put(key, std::move(value));
+    const auto it = shard.index.find(key);
+    if (it != shard.index.end()) {
+      it->second->second = std::move(value);
+      shard.entries.splice(shard.entries.begin(), shard.entries, it->second);
+      return;
+    }
+    shard.entries.emplace_front(key, std::move(value));
+    shard.index.emplace(key, shard.entries.begin());
+    if (shard.entries.size() > shard.capacity) {
+      shard.index.erase(shard.entries.back().first);
+      shard.entries.pop_back();
+    }
   }
 
   /// Total entries across shards. Each shard is locked in turn, so the
@@ -88,16 +103,20 @@ class ShardedLruCache {
     std::size_t total = 0;
     for (const auto& shard : shards_) {
       std::scoped_lock lock(shard->mutex);
-      total += shard->cache.size();
+      total += shard->entries.size();
     }
     return total;
   }
 
  private:
   struct Shard {
-    explicit Shard(std::size_t per_shard) : cache(per_shard) {}
+    explicit Shard(std::size_t per_shard) : capacity(per_shard) {}
     mutable std::mutex mutex;
-    LruCache<Key, Value> cache;
+    std::size_t capacity;
+    std::list<std::pair<Key, Value>> entries;  ///< most recent first
+    std::unordered_map<Key,
+                       typename std::list<std::pair<Key, Value>>::iterator>
+        index;
   };
 
   std::size_t capacity_;

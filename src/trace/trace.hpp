@@ -7,6 +7,15 @@
 // ("simplex", "mm"). The legacy LongWindowTelemetry / ShortWindowTelemetry
 // structs are derived *from* the trace as compatibility views.
 //
+// The trace is also the only place solver work is counted: the revised
+// simplex adds its per-solve tallies (`solves`, `pivots.*`,
+// `refactor.count`, `eta.applied`, `eta.entries`, `pricing.*`,
+// `workspace.reused`, `workspace.grown`) and the state-space explorers
+// their `state_space.*` counters to the context they are handed, once per
+// solve, with add semantics — so one context shared by N sequential
+// solves sums their work, exactly as absorb() sums N scratch contexts.
+// Benches and tests read solver work from a trace they pass in.
+//
 // Naming scheme (see DESIGN.md "Telemetry & tracing"):
 //   * contexts: snake_case stage names ("long_window", "simplex", "mm");
 //   * counters/values: dotted paths, category first ("lp.pivots",

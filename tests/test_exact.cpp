@@ -8,10 +8,10 @@
 #include "baselines/baseline.hpp"
 #include "baselines/calibration_bounds.hpp"
 #include "baselines/exact_ise.hpp"
-#include "exact/search_stats.hpp"
 #include "gen/generators.hpp"
 #include "mm/mm.hpp"
 #include "runtime/registry.hpp"
+#include "trace/trace.hpp"
 #include "verify/verify.hpp"
 
 namespace calisched {
@@ -279,11 +279,11 @@ TEST(ExactStateSpace, DominanceAndMergingPruneTheLayeredGraph) {
   for (JobId j = 0; j < 7; ++j) {
     instance.jobs.push_back({j, j * 2, j * 2 + 16, 3});
   }
-  exact_search_reset();
+  TraceContext trace("exact_ise");
   ExactIseOptions options;
   options.engine = ExactEngine::kStateSpace;
+  options.trace = &trace;
   const ExactIseResult result = solve_exact_ise(instance, options);
-  const ExactSearchCounters counters = exact_search_snapshot();
   ASSERT_TRUE(result.solved);
   ASSERT_TRUE(result.feasible);
   EXPECT_TRUE(verify_ise(instance, result.schedule).ok());
@@ -295,11 +295,29 @@ TEST(ExactStateSpace, DominanceAndMergingPruneTheLayeredGraph) {
   ASSERT_TRUE(oracle.solved && oracle.feasible);
   EXPECT_EQ(result.optimal_calibrations, oracle.optimal_calibrations);
 
-  EXPECT_GE(counters.searches, 1);
-  EXPECT_GT(counters.states_merged, 0);
-  EXPECT_GT(counters.states_dominated, 0);
-  EXPECT_LT(counters.states_expanded, counters.states_created);
-  EXPECT_GT(counters.layers, 0);
+  EXPECT_TRUE(trace.has_counter("state_space.states"));  // a search reported
+  EXPECT_GT(trace.counter("state_space.merged"), 0);
+  EXPECT_GT(trace.counter("state_space.dominated"), 0);
+  EXPECT_LT(trace.counter("state_space.expanded"),
+            trace.counter("state_space.states"));
+  EXPECT_GT(trace.span_count("layer"), 0);
+}
+
+TEST(ExactStateSpace, ExactMmForwardsItsTrace) {
+  // The telemetry overload must reach the state-space search: its work
+  // counters land in the caller's trace next to the "mm" span.
+  Instance instance;
+  instance.machines = 1;
+  instance.T = 1'000'000;
+  for (JobId j = 0; j < 6; ++j) instance.jobs.push_back({j, 0, 6, 4});
+  TraceContext trace("mm");
+  const MMResult result =
+      ExactMM(4'000'000, ExactEngine::kStateSpace).minimize(instance, &trace);
+  ASSERT_TRUE(result.feasible);
+  EXPECT_EQ(result.algorithm, "exact-state");
+  EXPECT_GT(trace.counter("state_space.states"), 0);
+  EXPECT_EQ(trace.counter("state_space.states"), result.search_nodes);
+  EXPECT_TRUE(trace.has_span("mm"));
 }
 
 // -------------------------------------------------------- budget statuses --

@@ -193,7 +193,7 @@ TEST(LineFramer, SinkFalseStopsDeliveryAndDropsRemainder) {
 // ---------------------------------------------------------- ShardedCache --
 
 TEST(ShardedCache, SingleShardKeepsLegacyEvictionOrder) {
-  // shards=1 must behave exactly like the bare LruCache: one recency
+  // shards=1 must behave exactly like one unsharded LRU map: one recency
   // list, capacity-wide eviction.
   ShardedLruCache<int, std::string> cache(2, 1);
   cache.put(1, 1, "a");

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "lp/perf_counters.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "trace/trace.hpp"
@@ -622,17 +621,51 @@ TEST(Simplex, PerfCountersProveWarmArenaStopsAllocating) {
   options.workspace = &arena;
   ASSERT_EQ(solve_lp(model, options).status, LpStatus::kOptimal);  // warmup
 
-  const LpPerfCounters before = lp_perf_snapshot();
+  TraceContext trace("simplex");
+  options.trace = &trace;
   constexpr int kReps = 4;
   for (int rep = 0; rep < kReps; ++rep) {
     ASSERT_EQ(solve_lp(model, options).status, LpStatus::kOptimal);
   }
-  const LpPerfCounters delta = lp_perf_snapshot() - before;
-  EXPECT_EQ(delta.solves, kReps);
-  EXPECT_EQ(delta.workspace_reuses, kReps);
-  EXPECT_EQ(delta.buffer_growths, 0);
-  EXPECT_GT(delta.pivots, 0);
-  EXPECT_GT(delta.etas_applied, 0);
+  EXPECT_EQ(trace.counter("solves"), kReps);
+  EXPECT_EQ(trace.counter("workspace.reused"), kReps);
+  EXPECT_EQ(trace.counter("workspace.grown"), 0);
+  EXPECT_GT(trace.counter("pivots.phase1") + trace.counter("pivots.phase2") +
+                trace.counter("pivots.expel"),
+            0);
+  EXPECT_GT(trace.counter("eta.applied"), 0);
+}
+
+TEST(Simplex, SharedTraceSumsSequentialSolves) {
+  // One trace handed to two sequential solves reports exactly the sum of
+  // the work the same two solves report into separate traces.
+  Rng rng(77);
+  const LpModel first = make_random_bounded_program(rng);
+  const LpModel second = make_random_bounded_program(rng);
+  const auto solve_into = [](const LpModel& model, TraceContext& trace) {
+    SimplexWorkspace arena;  // cold arena per solve: identical work each time
+    SimplexOptions options = engine_options(LpEngine::kRevised);
+    options.workspace = &arena;
+    options.trace = &trace;
+    ASSERT_EQ(solve_lp(model, options).status, LpStatus::kOptimal);
+  };
+  TraceContext shared("simplex");
+  TraceContext alone_first("simplex");
+  TraceContext alone_second("simplex");
+  solve_into(first, shared);
+  solve_into(second, shared);
+  solve_into(first, alone_first);
+  solve_into(second, alone_second);
+  ASSERT_EQ(shared.counter("solves"), 2);
+  for (const char* key :
+       {"solves", "pivots.phase1", "pivots.phase2", "pivots.expel",
+        "refactor.count", "eta.applied", "eta.entries", "pricing.columns",
+        "pricing.entries", "workspace.reused", "workspace.grown"}) {
+    EXPECT_EQ(shared.counter(key),
+              alone_first.counter(key) + alone_second.counter(key))
+        << key;
+  }
+  EXPECT_GT(shared.counter("pricing.entries"), 0);
 }
 
 TEST(Simplex, WorkspaceReuseAcrossShapesMatchesFreshSolves) {

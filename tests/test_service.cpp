@@ -28,10 +28,10 @@
 #include "gen/generators.hpp"
 #include "service/instance_hash.hpp"
 #include "service/loadgen.hpp"
-#include "service/lru_cache.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
+#include "service/sharded_cache.hpp"
 #include "util/rng.hpp"
 
 namespace calisched {
@@ -142,45 +142,54 @@ TEST(InstanceHash, DistinctAcrossGeneratedFamily) {
 }
 
 // -------------------------------------------------------------- LruCache --
+// LRU semantics of one cache shard: ShardedLruCache(capacity, 1) is the
+// service's cache with exact capacity-wide recency. Keys double as hashes.
 
 TEST(LruCache, EvictsLeastRecentlyUsed) {
-  LruCache<int, std::string> cache(2);
-  cache.put(1, "a");
-  cache.put(2, "b");
-  cache.put(3, "c");  // evicts 1
-  EXPECT_EQ(cache.get(1), nullptr);
-  ASSERT_NE(cache.get(2), nullptr);
-  EXPECT_EQ(*cache.get(2), "b");
+  ShardedLruCache<int, std::string> cache(2, 1);
+  cache.put(1, 1, "a");
+  cache.put(2, 2, "b");
+  cache.put(3, 3, "c");  // evicts 1
+  std::string value;
+  EXPECT_FALSE(cache.get(1, 1, &value));
+  ASSERT_TRUE(cache.get(2, 2, &value));
+  EXPECT_EQ(value, "b");
   EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(LruCache, GetRefreshesRecency) {
-  LruCache<int, int> cache(2);
-  cache.put(1, 10);
-  cache.put(2, 20);
-  EXPECT_NE(cache.get(1), nullptr);  // 1 becomes most-recent
-  cache.put(3, 30);                  // evicts 2, not 1
-  EXPECT_NE(cache.get(1), nullptr);
-  EXPECT_EQ(cache.get(2), nullptr);
-  const std::vector<int> keys = cache.keys_mru_first();
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], 1);  // the verifying get(1) above promoted it again
-  EXPECT_EQ(keys[1], 3);
+  ShardedLruCache<int, int> cache(2, 1);
+  cache.put(1, 1, 10);
+  cache.put(2, 2, 20);
+  int value = 0;
+  EXPECT_TRUE(cache.get(1, 1, &value));  // 1 becomes most-recent
+  cache.put(3, 3, 30);                    // evicts 2, not 1
+  EXPECT_FALSE(cache.get(2, 2, &value));
+  // Recency order is now 3, 1 (get(2) missed and promoted nothing), so the
+  // next put evicts 1; a get(1) here would have made it evict 3 instead.
+  cache.put(4, 4, 40);
+  EXPECT_FALSE(cache.get(1, 1, &value));
+  EXPECT_TRUE(cache.get(3, 3, &value));
+  EXPECT_EQ(value, 30);
+  EXPECT_TRUE(cache.get(4, 4, &value));
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(LruCache, PutOverwritesInPlace) {
-  LruCache<int, int> cache(2);
-  cache.put(1, 10);
-  cache.put(1, 11);
+  ShardedLruCache<int, int> cache(2, 1);
+  cache.put(1, 1, 10);
+  cache.put(1, 1, 11);
   EXPECT_EQ(cache.size(), 1u);
-  ASSERT_NE(cache.get(1), nullptr);
-  EXPECT_EQ(*cache.get(1), 11);
+  int value = 0;
+  ASSERT_TRUE(cache.get(1, 1, &value));
+  EXPECT_EQ(value, 11);
 }
 
 TEST(LruCache, CapacityZeroDisables) {
-  LruCache<int, int> cache(0);
-  cache.put(1, 10);
-  EXPECT_EQ(cache.get(1), nullptr);
+  ShardedLruCache<int, int> cache(0, 1);
+  cache.put(1, 1, 10);
+  int value = 0;
+  EXPECT_FALSE(cache.get(1, 1, &value));
   EXPECT_EQ(cache.size(), 0u);
 }
 

@@ -10,8 +10,8 @@
 //             [--trace]
 //             [--family=F --count=N --seed=N --n=N --T=N --machines=N ...]
 //   calisched serve (--stdio | --port=P) [--threads=N] [--queue-capacity=N]
-//             [--cache-capacity=N] [--cache-shards=N]
-//             [--server=epoll|threads] [--io-threads=N] [--backlog=N]
+//             [--cache-capacity=N] [--cache-shards=N] [--io-threads=N]
+//             [--backlog=N]
 //   calisched replay <instance-file> [--algo=online-edf] [--schedule]
 //
 // Every mode reads all of its flags before doing any work; a flag the mode
@@ -27,7 +27,8 @@
 // (exhaustion reports "limit-exceeded", never "infeasible"); 0 keeps each
 // solver's default. --trace-json=FILE writes the solve's full stage trace
 // (per-stage spans, counters, LP/MM telemetry, schedule stats) as JSON; FILE
-// of "-" means stdout.
+// of "-" means stdout. A failed solve writes its trace too (without the
+// schedule stats) before exiting 1.
 //
 // --generate writes one instance of a gen/generators.hpp family (see
 // generate_family) to --out or stdout. The family flags are --long-fraction
@@ -50,10 +51,9 @@
 // order. --stdio speaks over stdin/stdout (the response stream is byte-
 // identical for any --threads value); --port=P listens on 127.0.0.1:P
 // (0 picks a free port, printed to stderr). The TCP front end is the
-// nonblocking epoll event loop by default (--io-threads event-loop
-// threads, --backlog listen() backlog, <= 0 meaning SOMAXCONN);
-// --server=threads selects the legacy thread-per-connection accept loop.
-// Both produce byte-identical response streams. The service runs every
+// nonblocking epoll event loop (--io-threads event-loop threads,
+// --backlog listen() backlog, <= 0 meaning SOMAXCONN); its response
+// stream is byte-identical to --stdio's. The service runs every
 // request through the algorithm registry behind a bounded queue
 // (--queue-capacity, full queue => "reject" response, never unbounded
 // growth) and a sharded LRU result cache (--cache-capacity total entries
@@ -267,16 +267,11 @@ int serve_mode(const CliArgs& args) {
   const bool stdio = args.get_bool("stdio", false);
   const std::int64_t port = args.get_int("port", -1);
   const std::int64_t backlog = args.get_int("backlog", 0);
-  const std::string backend = args.get("server", "epoll");
   const std::size_t io_threads =
       static_cast<std::size_t>(args.get_int("io-threads", 1));
   if (has_unknown_flags(args, "serve")) return 2;
   if (!stdio && port < 0) {
     std::cerr << "serve needs --stdio or --port=P\n";
-    return 2;
-  }
-  if (backend != "epoll" && backend != "threads") {
-    std::cerr << "unknown server '" << backend << "' (epoll|threads)\n";
     return 2;
   }
 
@@ -293,38 +288,23 @@ int serve_mode(const CliArgs& args) {
   }
 
   SolveService service(AlgorithmRegistry::builtin(), options);
-  if (backend == "epoll") {
-    EpollServerOptions server_options;
-    server_options.port = static_cast<int>(port);
-    server_options.backlog = static_cast<int>(backlog);
-    server_options.io_threads = io_threads;
-    EpollServer server(service, server_options);
-    try {
-      server.start();
-    } catch (const std::exception& error) {
-      std::cerr << error.what() << '\n';
-      return 2;
-    }
-    std::cerr << "serve: listening on 127.0.0.1:" << server.port()
-              << " (epoll, " << io_threads << " io thread(s), "
-              << options.threads << " worker thread(s), queue "
-              << options.queue_capacity << ", cache " << options.cache_capacity
-              << "x" << options.cache_shards << " shard(s))\n";
-    server.serve();
-  } else {
-    TcpServer server(service);
-    try {
-      server.start(static_cast<int>(port), static_cast<int>(backlog));
-    } catch (const std::exception& error) {
-      std::cerr << error.what() << '\n';
-      return 2;
-    }
-    std::cerr << "serve: listening on 127.0.0.1:" << server.port()
-              << " (thread-per-connection, " << options.threads
-              << " worker thread(s), queue " << options.queue_capacity
-              << ", cache " << options.cache_capacity << ")\n";
-    server.serve();
+  EpollServerOptions server_options;
+  server_options.port = static_cast<int>(port);
+  server_options.backlog = static_cast<int>(backlog);
+  server_options.io_threads = io_threads;
+  EpollServer server(service, server_options);
+  try {
+    server.start();
+  } catch (const std::exception& error) {
+    std::cerr << error.what() << '\n';
+    return 2;
   }
+  std::cerr << "serve: listening on 127.0.0.1:" << server.port()
+            << " (epoll, " << io_threads << " io thread(s), "
+            << options.threads << " worker thread(s), queue "
+            << options.queue_capacity << ", cache " << options.cache_capacity
+            << "x" << options.cache_shards << " shard(s))\n";
+  server.serve();
   service.shutdown(/*drain=*/true);
   const ServiceStats stats = service.stats();
   std::cerr << "serve: " << stats.received << " request(s), "
@@ -442,8 +422,19 @@ int solve_mode(const CliArgs& args) {
   const RunResult result =
       algorithm->run(instance, limits, want_trace ? &trace : nullptr);
   solve_span.stop();
+  // Written on every exit after the solve: a failed solve's trace is the
+  // one that explains where it stopped.
+  const auto write_trace = [&] {
+    if (trace_path.empty() || trace_path == "-" || trace_path == "true") {
+      std::cout << trace.json() << '\n';
+      return true;
+    }
+    return write_file(trace_path,
+                      [&](std::ostream& file) { file << trace.json() << '\n'; });
+  };
   if (!result.feasible) {
     std::cerr << result.error << '\n';  // "<stage>: <status> (<detail>)"
+    if (want_trace && !write_trace()) return 2;
     return 1;
   }
 
@@ -451,13 +442,7 @@ int solve_mode(const CliArgs& args) {
   const ScheduleStats stats = compute_stats(instance, schedule);
   if (want_trace) {
     record_stats(stats, &trace);
-    if (trace_path.empty() || trace_path == "-" || trace_path == "true") {
-      std::cout << trace.json() << '\n';
-    } else if (!write_file(trace_path, [&](std::ostream& file) {
-                 file << trace.json() << '\n';
-               })) {
-      return 2;
-    }
+    if (!write_trace()) return 2;
   }
   if (!quiet) {
     std::cout << "algorithm        : " << algo << '\n'

@@ -16,6 +16,11 @@ covers the "metrics" and "checks" dicts:
     "Worsens" is direction-aware: for names that look like reductions or
     speedups (higher is better), a drop is the regression; for everything
     else a rise is.
+  * A lower-is-better counted metric that falls from a nonzero baseline to
+    exactly 0 is a FAILURE ("counter vanished"), not an improvement: work
+    does not disappear, so a zero means the counting stopped — e.g. a
+    solve path that no longer forwards its trace. Refresh the baseline if
+    the work really is gone.
   * Timing-flavoured metrics (names mentioning ns/ms/wall/time/speed/
     throughput) and machine facts (hardware_cores) are ADVISORY only: they
     are printed when they move but never gate the exit code, because the
@@ -154,7 +159,12 @@ def compare(baseline: dict, fresh: dict):
                              f"{base_value:g} -> {fresh_value:g} "
                              f"({change:+.1%}); not gating")
             continue
-        if worse > FAIL_RATIO:
+        if base_value != 0.0 and fresh_value == 0.0 and \
+                not higher_is_better(name):
+            lines.append(f"FAILURE: metric '{name}' counter vanished "
+                         f"{base_value:g} -> 0 (did the run stop counting?)")
+            failures += 1
+        elif worse > FAIL_RATIO:
             lines.append(f"FAILURE: metric '{name}' regressed "
                          f"{base_value:g} -> {fresh_value:g} ({change:+.1%})")
             failures += 1
@@ -227,6 +237,18 @@ SELF_TEST_FIXTURES = [
      {"metrics": {"entries_per_sec": 100}},
      {"metrics": {"entries_per_sec": 105}},
      0, 0, []),
+    ("counter_vanished_fails",
+     {"metrics": {"t1_pivots": 11041, "t1_buffer_growths": 17}},
+     {"metrics": {"t1_pivots": 0, "t1_buffer_growths": 0}},
+     2, 0, ["FAILURE: metric 't1_pivots' counter vanished",
+            "FAILURE: metric 't1_buffer_growths' counter vanished"]),
+    ("counter_drop_short_of_zero_is_improvement",
+     {"metrics": {"t1_pivots": 11041}}, {"metrics": {"t1_pivots": 9000}},
+     0, 0, ["note: metric 't1_pivots' improved"]),
+    ("vanished_rate_stays_advisory",
+     {"metrics": {"warm_pivots_per_s": 120000}},
+     {"metrics": {"warm_pivots_per_s": 0}},
+     0, 0, ["ADVISORY: rate metric 'warm_pivots_per_s'"]),
     ("reuse_drop_is_the_regression",
      {"metrics": {"t1_workspace_reuses": 199}},
      {"metrics": {"t1_workspace_reuses": 120}},
