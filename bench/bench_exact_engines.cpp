@@ -28,6 +28,7 @@
 #include "core/instance.hpp"
 #include "harness.hpp"
 #include "mm/mm.hpp"
+#include "oracle/oracle.hpp"
 #include "trace/trace.hpp"
 #include "util/table.hpp"
 
@@ -74,21 +75,22 @@ int main(int argc, char** argv) {
   int mm_max_state = 0;
   int mm_max_bnb = 0;
   TraceContext mm_trace("exact_mm");  ///< the state-space engine's rungs
-  for (const ExactEngine engine :
-       {ExactEngine::kStateSpace, ExactEngine::kBranchBound}) {
-    const bool is_state = engine == ExactEngine::kStateSpace;
+  const ExactMM state_mm(kBudget);
+  const oracle::BranchBoundMM bnb_mm(kBudget);
+  const MachineMinimizer* const boxes[] = {&state_mm, &bnb_mm};
+  for (const MachineMinimizer* mm : boxes) {
+    const bool is_state = mm == &state_mm;
     for (const int k : {1, 2, 4, 8, 16}) {
       const Instance instance = wave_instance(k, 6, 12, 6, 4, 1'000'000, 1);
       const int n = 6 * k;
-      const ExactMM mm(kBudget, engine);
       const auto start = std::chrono::steady_clock::now();
       const MMResult result =
-          mm.minimize(instance, is_state ? &mm_trace : nullptr);
+          mm->minimize(instance, is_state ? &mm_trace : nullptr);
       const double ms = elapsed_ms(start);
-      const bool certified = result.feasible && result.algorithm == mm.name();
+      const bool certified = result.feasible && result.algorithm == mm->name();
       mm_table.row()
           .cell(static_cast<std::int64_t>(n))
-          .cell(mm.name())
+          .cell(mm->name())
           .cell(certified ? "yes" : "no")
           .cell(static_cast<std::int64_t>(certified ? result.schedule.machines
                                                     : -1))
@@ -111,20 +113,19 @@ int main(int argc, char** argv) {
   int ise_max_bnb = 0;
   std::vector<std::int64_t> state_optima;  // indexed by ladder step
   TraceContext ise_trace("exact_ise");  ///< the state-space engine's rungs
-  for (const ExactEngine engine :
-       {ExactEngine::kStateSpace, ExactEngine::kBranchBound}) {
-    const bool is_state = engine == ExactEngine::kStateSpace;
+  for (const bool is_state : {true, false}) {
     std::size_t step = 0;
     for (const int k : {5, 10, 25, 50}) {
       const Instance instance = wave_instance(k, 4, 10, 8, 2, 6, 1);
       const int n = 4 * k;
       ExactIseOptions options;
-      options.engine = engine;
       options.node_budget = kBudget;
       options.max_calibrations = 999;
       options.trace = is_state ? &ise_trace : nullptr;
       const auto start = std::chrono::steady_clock::now();
-      const ExactIseResult result = solve_exact_ise(instance, options);
+      const ExactIseResult result =
+          is_state ? solve_exact_ise(instance, options)
+                   : oracle::solve_exact_ise_bnb(instance, options);
       const double ms = elapsed_ms(start);
       const bool certified = result.solved && result.feasible;
       ise_table.row()

@@ -14,6 +14,7 @@
 #include "gen/generators.hpp"
 #include "harness.hpp"
 #include "longwin/tise_lp.hpp"
+#include "oracle/oracle.hpp"
 #include "trace/trace.hpp"
 
 namespace {
@@ -64,10 +65,7 @@ int main(int argc, char** argv) {
     const Instance instance = generate_long_window(params);
     const TiseLpModel built = build_tise_lp(instance, 3 * instance.machines);
 
-    SimplexOptions dense_options;
-    dense_options.engine = LpEngine::kDenseTableau;
     SimplexOptions revised_options;
-    revised_options.engine = LpEngine::kRevised;
     TraceContext& revised_trace =
         bench.trace().child("revised_n" + std::to_string(n));
     revised_options.trace = &revised_trace;
@@ -76,11 +74,11 @@ int main(int argc, char** argv) {
     LpSolution revised;
     // One timing-free solve each to size the repetition count.
     const double dense_once = time_ms(
-        [&] { dense = solve_lp(built.model, dense_options); }, 1);
+        [&] { dense = oracle::solve_lp_dense(built.model); }, 1);
     const int dense_reps = dense_once > 500.0 ? 1 : 3;
     const double dense_ms = std::min(
         dense_once,
-        time_ms([&] { dense = solve_lp(built.model, dense_options); },
+        time_ms([&] { dense = oracle::solve_lp_dense(built.model); },
                 dense_reps));
     // revised_trace sums the work of all revised reps (the dense solves
     // are untraced), so rates divide by total wall, not best.

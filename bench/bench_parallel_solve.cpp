@@ -25,6 +25,7 @@
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "mm/lp_rounding_mm.hpp"
+#include "oracle/oracle.hpp"
 #include "shortwin/short_pipeline.hpp"
 #include "verify/verify.hpp"
 
@@ -159,25 +160,20 @@ int main(int argc, char** argv) {
   bool oracle_ok = true;
   for (int capacity = 30; capacity >= 8; --capacity) {
     const LpModel model = sweep_model(capacity);
-    SimplexOptions cold_options;
-    cold_options.engine = LpEngine::kRevised;
-    const LpSolution cold = solve_lp(model, cold_options);
+    const LpSolution cold = solve_lp(model);
 
     SimplexOptions warm_options;
-    warm_options.engine = LpEngine::kRevised;
     warm_options.warm_start = &warm;
     warm_options.workspace = &workspace;
     const LpSolution chained = solve_lp(model, warm_options);
 
-    SimplexOptions dense_options;
-    dense_options.engine = LpEngine::kDenseTableau;
-    const LpSolution oracle = solve_lp(model, dense_options);
+    const LpSolution dense = oracle::solve_lp_dense(model);
 
     const bool agrees = cold.status == LpStatus::kOptimal &&
                         chained.status == LpStatus::kOptimal &&
-                        oracle.status == LpStatus::kOptimal &&
-                        std::abs(chained.objective - oracle.objective) < 1e-6 &&
-                        std::abs(cold.objective - oracle.objective) < 1e-6;
+                        dense.status == LpStatus::kOptimal &&
+                        std::abs(chained.objective - dense.objective) < 1e-6 &&
+                        std::abs(cold.objective - dense.objective) < 1e-6;
     oracle_ok = oracle_ok && agrees;
     cold_total += total_pivots(cold);
     warm_total += total_pivots(chained);
@@ -203,7 +199,6 @@ int main(int argc, char** argv) {
   bool resolved_warm = true;
   for (int repeat = 0; repeat < 5; ++repeat) {
     SimplexOptions options;
-    options.engine = LpEngine::kRevised;
     options.warm_start = &resolve_warm;
     options.workspace = &resolve_workspace;
     const LpSolution solution = solve_lp(fixed, options);

@@ -27,6 +27,7 @@
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "lp/sparse.hpp"
+#include "oracle/oracle.hpp"
 #include "trace/trace.hpp"
 
 namespace {
@@ -78,12 +79,9 @@ int main(int argc, char** argv) {
   const Instance instance = generate_long_window(params);
   const TiseLpModel built = build_tise_lp(instance, 3 * instance.machines);
 
-  SimplexOptions dense_options;
-  dense_options.engine = LpEngine::kDenseTableau;
-  const LpSolution oracle = solve_lp(built.model, dense_options);
+  const LpSolution dense = oracle::solve_lp_dense(built.model);
 
   SimplexOptions revised_options;
-  revised_options.engine = LpEngine::kRevised;
 
   constexpr int kSolveReps = 5;
   double cold_objective = 0.0;
@@ -118,9 +116,9 @@ int main(int argc, char** argv) {
                         ": fresh arena per solve vs one reused arena");
 
   bench.check("revised matches dense oracle",
-              oracle.status == LpStatus::kOptimal &&
-                  std::fabs(cold_objective - oracle.objective) <= 1e-6 &&
-                  std::fabs(warm_objective - oracle.objective) <= 1e-6);
+              dense.status == LpStatus::kOptimal &&
+                  std::fabs(cold_objective - dense.objective) <= 1e-6 &&
+                  std::fabs(warm_objective - dense.objective) <= 1e-6);
   // The sanitizer jobs run this binary for these two checks: a reused
   // arena at working size must stop allocating entirely.
   bench.check("warm workspace stops allocating",

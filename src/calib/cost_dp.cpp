@@ -214,9 +214,8 @@ class CostDp {
   /// stop reason — "not packable" would turn a budget artifact into a
   /// pruned (possibly optimal) transition.
   [[nodiscard]] bool packable(std::uint32_t sub, Time s, int k) {
-    const MMFeasibility packed =
-        exact_mm_feasibility(clipped(sub, s, k), 1, ExactEngine::kBranchBound,
-                             /*node_budget=*/100'000, options_.limits);
+    const MMFeasibility packed = branch_bound_feasibility(
+        clipped(sub, s, k), 1, /*node_budget=*/100'000, options_.limits);
     if (packed.status != SolveStatus::kOk) {
       budget_hit_ = true;
       sub_status_ = packed.status;
@@ -235,9 +234,9 @@ class CostDp {
       assert(it != memo_.end() && it->second.cost != kInf);
       const Entry& entry = it->second;
       schedule.calibrations.push_back({0, entry.start, entry.type});
-      const MMFeasibility packed = exact_mm_feasibility(
+      const MMFeasibility packed = branch_bound_feasibility(
           clipped(entry.subset, entry.start, entry.type), 1,
-          ExactEngine::kBranchBound, /*node_budget=*/100'000);
+          /*node_budget=*/100'000);
       assert(packed.feasible && "packability was checked during the DP");
       for (const ScheduledJob& sj : packed.schedule.jobs) {
         schedule.jobs.push_back({sj.job, 0, sj.start});

@@ -2,12 +2,13 @@
 // (Angel, Bampis, Chau, Zissimopoulos 2015).
 //
 // The oracle the cost-model experiments measure against. It generalizes
-// the exact-ise branch-and-bound: candidate calibrations are now
+// the exact-ISE branch-and-bound (oracle::solve_exact_ise_bnb,
+// src/oracle/exact_ise_bnb.cpp): candidate calibrations are now
 // (start, type) pairs, exclusivity is checked on machine *occupancy*
 // (activation delay included), jobs fit only inside a type's availability
 // window, and the objective is the sum of type costs instead of the count.
 //
-// Completeness mirrors exact_ise.cpp: left-shifting any feasible schedule
+// Completeness mirrors baselines/exact_ise.hpp: left-shifting any feasible schedule
 // to its integer fixpoint keeps every calibration's type, so searching all
 // integer start times per type suffices. The search enumerates calibration
 // counts k upward; within each k it branch-and-bounds on cost (a partial

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
 
 namespace calisched {
 
@@ -24,13 +25,21 @@ EdfAssignResult edf_assign_jobs(const Instance& instance, const Schedule& calend
     }
   }
 
-  // Scan order: nondecreasing start time; ties broken by machine so the
-  // original copy precedes its mirror.
+  // Scan order: nondecreasing start time, then original machine, with each
+  // original calibration directly before its mirror. Lemma 9 puts a split
+  // job on the mirror of its first piece's calibration, so Lemma 10's
+  // prefix dominance needs that mirror scanned right after its original,
+  // not after every original that starts at the same time.
+  const int originals = calendar.machines;
+  const auto scan_key = [originals](const Calibration& cal) {
+    const bool mirrored = cal.machine >= originals;
+    const int original = mirrored ? cal.machine - originals : cal.machine;
+    return std::tuple(cal.start, original, mirrored);
+  };
   std::vector<Calibration> scan = schedule.calibrations;
   std::sort(scan.begin(), scan.end(),
-            [](const Calibration& a, const Calibration& b) {
-              return a.start != b.start ? a.start < b.start
-                                        : a.machine < b.machine;
+            [&](const Calibration& a, const Calibration& b) {
+              return scan_key(a) < scan_key(b);
             });
 
   std::vector<bool> done(instance.size(), false);

@@ -2,11 +2,13 @@
 // jobs to a rounded calibration schedule.
 //
 // The calibration schedule is first mirrored onto a second, disjoint set of
-// machines (Lemma 9's doubling), then calibrations are scanned in
-// nondecreasing start order; each is filled greedily with the
-// earliest-deadline unscheduled job that obeys the TISE constraint, until
-// the next such job no longer fits (the paper's while-loop stops at the
-// first earliest-deadline job that exceeds the remaining room).
+// machines (Lemma 9's doubling), then calibrations are scanned by start
+// time, then original machine, each original directly before its mirror
+// (the order Lemma 10's dominance argument needs). Each is filled greedily
+// with the earliest-deadline unscheduled job that obeys the TISE
+// constraint, until the next such job no longer fits (the paper's
+// while-loop stops at the first earliest-deadline job that exceeds the
+// remaining room).
 #pragma once
 
 #include <vector>

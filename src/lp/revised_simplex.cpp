@@ -1203,7 +1203,7 @@ class RevisedSimplex {
 /// per-call-site opt-in. Every thread that solves LPs — each BatchRunner /
 /// SolveService worker, each pipeline's calling thread — keeps one warm
 /// workspace, so a sequence of solves stops churning the heap with no API
-/// changes at any call site. Safe because solve_lp_revised never nests on
+/// changes at any call site. Safe because solve_lp never nests on
 /// one thread (the engine does not call back into solve_lp), and a
 /// thread_local is exclusive to its thread by construction. Callers that
 /// need a genuinely cold solve (tests, allocation baselines) pass their
@@ -1215,7 +1215,28 @@ SimplexWorkspace& thread_default_workspace() {
 
 }  // namespace
 
-LpSolution solve_lp_revised(const LpModel& model, const SimplexOptions& options) {
+SolveStatus lp_status_to_solve(LpStatus status) noexcept {
+  switch (status) {
+    case LpStatus::kOptimal: return SolveStatus::kOk;
+    case LpStatus::kInfeasible: return SolveStatus::kInfeasible;
+    case LpStatus::kUnbounded: return SolveStatus::kNumericalFailure;
+    case LpStatus::kIterationLimit: return SolveStatus::kLimitExceeded;
+    case LpStatus::kDeadlineExceeded: return SolveStatus::kDeadlineExceeded;
+    case LpStatus::kCancelled: return SolveStatus::kCancelled;
+  }
+  return SolveStatus::kNumericalFailure;
+}
+
+LpSolution solve_lp(const LpModel& model, const SimplexOptions& options) {
+  LpSolution solution;
+  // Already over the limit: skip even the presolve and CSC build.
+  const SolveStatus entry = options.limits.check();
+  if (entry != SolveStatus::kOk) {
+    solution.status = entry == SolveStatus::kCancelled
+                          ? LpStatus::kCancelled
+                          : LpStatus::kDeadlineExceeded;
+    return solution;
+  }
   SimplexOptions opts = options;
   if (!opts.workspace) opts.workspace = &thread_default_workspace();
   PresolvedLp presolved = presolve_lp(model, opts);
@@ -1224,7 +1245,6 @@ LpSolution solve_lp_revised(const LpModel& model, const SimplexOptions& options)
   trace_set(opts.trace, "presolve.cols.fixed", presolved.summary.cols_fixed);
   trace_set(opts.trace, "presolve.rows.normalized",
             presolved.summary.rows_normalized);
-  LpSolution solution;
   if (presolved.summary.infeasible) {
     solution.status = LpStatus::kInfeasible;
     return solution;

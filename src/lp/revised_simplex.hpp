@@ -1,9 +1,9 @@
 // Sparse revised simplex with presolve and partial pricing.
 //
-// The dense tableau (simplex.cpp) re-eliminates the whole rows x cols
-// tableau on every pivot; for the TISE relaxation — whose constraint
-// matrix has a handful of nonzeros per column — almost all of that work
-// touches zeros. This engine keeps the constraint matrix in a CSC column
+// A dense tableau (oracle::solve_lp_dense, src/oracle/) re-eliminates the
+// whole rows x cols tableau on every pivot; for the TISE relaxation —
+// whose constraint matrix has a handful of nonzeros per column — almost
+// all of that work touches zeros. This engine keeps the constraint matrix in a CSC column
 // store and represents the basis inverse as an eta file (product form of
 // the inverse), so one pivot costs an FTRAN + BTRAN over stored nonzeros
 // instead of a dense elimination:
@@ -23,8 +23,8 @@
 //                   and resets accumulated roundoff.
 //
 // Semantics (statuses, tolerances, Bland fallback, iteration limits) match
-// the dense tableau, which stays available through SimplexOptions::engine
-// as the differential-testing oracle.
+// the dense tableau, which tests and benches keep as the differential
+// oracle. solve_lp (simplex.hpp) runs this engine.
 #pragma once
 
 #include <memory>
@@ -104,10 +104,5 @@ struct PresolvedLp {
 /// summary.infeasible is set the model must not be solved.
 [[nodiscard]] PresolvedLp presolve_lp(const LpModel& model,
                                       const SimplexOptions& options);
-
-/// Solves min c'x via presolve + sparse revised simplex. Call through
-/// solve_lp (simplex.hpp), which dispatches on SimplexOptions::engine.
-[[nodiscard]] LpSolution solve_lp_revised(const LpModel& model,
-                                          const SimplexOptions& options);
 
 }  // namespace calisched

@@ -1,26 +1,17 @@
-// LP solver front end: engine switch + the dense two-phase tableau.
+// LP solver front end: solve_lp runs the sparse revised simplex with
+// presolve, an eta-file basis (product form of the inverse, periodic
+// refactorization) and partial pricing; see lp/revised_simplex.hpp. There
+// is one engine and no engine switch. The dense two-phase tableau that
+// tests and benches check it against lives in src/oracle/
+// (oracle::solve_lp_dense) and takes the same options.
 //
-// Two engines solve the same model type behind one solve_lp() call:
-//
-//  * kRevised (default) — sparse revised simplex with presolve, eta-file
-//    basis (product form of the inverse, periodic refactorization), and
-//    partial pricing; see lp/revised_simplex.hpp. This is the engine that
-//    scales the TISE relaxation past toy sizes.
-//  * kDenseTableau — the original two-phase dense tableau, kept as the
-//    reference oracle for differential testing and for tiny models where
-//    dense row operations are cache-friendly and auto-vectorize.
-//
-// Shared semantics (both engines):
+// Semantics:
 //  * Phase 1 minimizes the sum of artificial variables to find a basic
 //    feasible point; > tolerance at optimum means infeasible.
-//  * Pricing is Dantzig (most negative reduced cost; the revised engine
-//    restricts the scan to partial-pricing sections); after a configurable
-//    number of non-improving pivots the solver switches to Bland's rule,
-//    which guarantees termination in the presence of degeneracy.
-//  * Large dense tableaus eliminate rows in parallel through the shared
-//    thread pool; each worker owns disjoint rows, so no synchronisation is
-//    needed inside a pivot. (The revised engine's pivots are too cheap to
-//    parallelize.)
+//  * Pricing is Dantzig over partial-pricing sections; after a
+//    configurable number of non-improving pivots the solver switches to
+//    Bland's rule, which guarantees termination in the presence of
+//    degeneracy.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +23,8 @@
 namespace calisched {
 
 class TraceContext;
-struct WarmStart;        // revised engine starting basis (revised_simplex.hpp)
-class SimplexWorkspace;  // revised engine scratch arena (revised_simplex.hpp)
+struct WarmStart;        // starting basis (revised_simplex.hpp)
+class SimplexWorkspace;  // scratch arena (revised_simplex.hpp)
 
 enum class LpStatus {
   kOptimal,
@@ -49,25 +40,13 @@ enum class LpStatus {
 /// so an unbounded verdict signals a construction bug or roundoff).
 [[nodiscard]] SolveStatus lp_status_to_solve(LpStatus status) noexcept;
 
-/// Which simplex implementation solve_lp runs.
-enum class LpEngine {
-  kDenseTableau,  ///< dense two-phase tableau (reference oracle)
-  kRevised,       ///< sparse revised simplex (presolve + eta file)
-};
-
 struct SimplexOptions {
-  LpEngine engine = LpEngine::kRevised;
   double feasibility_tol = 1e-7;   ///< constraint / phase-1 feasibility
   double pivot_tol = 1e-9;         ///< smallest acceptable pivot magnitude
   double reduced_cost_tol = 1e-9;  ///< optimality threshold
   std::int64_t max_pivots = 2'000'000;
   int stall_before_bland = 256;    ///< non-improving pivots before Bland
-  bool parallel = true;            ///< parallel row elimination when large
-  /// Tableau cell count above which pivots eliminate rows in parallel
-  /// (dense engine only).
-  std::size_t parallel_threshold = std::size_t{1} << 21;
 
-  // --- revised engine ---------------------------------------------------
   bool presolve = true;            ///< run the presolve reductions
   /// Pivots since the last basis refactorization that trigger the next
   /// one. The two-sided triangular peel makes a rebuild near-linear in the
@@ -86,19 +65,19 @@ struct SimplexOptions {
   /// is nearly flat across that range.
   int pricing_section = 192;
 
-  /// Optional in/out starting basis (revised engine only; the dense oracle
-  /// ignores it, so differential runs stay cold-start comparable). On entry
-  /// a valid basis whose shape matches the presolved model is installed and
-  /// Phase 1 is skipped when it refactorizes cleanly and is primal
-  /// feasible; otherwise the solve silently falls back to a cold start. On
-  /// an optimal exit the final basis is written back. Not owned; a
-  /// WarmStart must not be shared by concurrent solves.
+  /// Optional in/out starting basis (the dense oracle ignores it, so
+  /// differential runs stay cold-start comparable). On entry a valid basis
+  /// whose shape matches the presolved model is installed and Phase 1 is
+  /// skipped when it refactorizes cleanly and is primal feasible;
+  /// otherwise the solve silently falls back to a cold start. On an
+  /// optimal exit the final basis is written back. Not owned; a WarmStart
+  /// must not be shared by concurrent solves.
   WarmStart* warm_start = nullptr;
-  /// Optional scratch arena (revised engine only). When null (the
-  /// default) the solve reuses a per-thread workspace, so sequences of
-  /// solves on one thread — batch workers, service workers, the pipelines'
-  /// per-interval LPs — stop re-allocating the matrix, eta file, and work
-  /// vectors with no call-site opt-in. Set it to direct reuse explicitly
+  /// Optional scratch arena. When null (the default) the solve reuses a
+  /// per-thread workspace, so sequences of solves on one thread — batch
+  /// workers, service workers, the pipelines' per-interval LPs — stop
+  /// re-allocating the matrix, eta file, and work vectors with no
+  /// call-site opt-in. Set it to direct reuse explicitly
   /// (or to a fresh workspace for a deliberately cold solve). Not owned; a
   /// workspace must not be shared by concurrent solves. Results are
   /// bit-identical whichever workspace a solve runs in.
@@ -108,8 +87,8 @@ struct SimplexOptions {
   /// presolve reductions, and refactorization stats land here. Not owned.
   TraceContext* trace = nullptr;
 
-  /// Wall-clock deadline + cancellation, polled once per pivot (both
-  /// engines). A stopped solve returns kDeadlineExceeded / kCancelled.
+  /// Wall-clock deadline + cancellation, polled once per pivot. A stopped
+  /// solve returns kDeadlineExceeded / kCancelled.
   RunLimits limits;
 };
 
@@ -123,12 +102,11 @@ struct LpSolution {
   /// not part of either phase count.
   std::int64_t expel_pivots = 0;
   /// True when a caller-provided WarmStart basis was accepted and Phase 1
-  /// was skipped (revised engine only).
+  /// was skipped.
   bool warm_started = false;
 };
 
-/// Solves min c'x s.t. model rows, x >= 0, with the engine selected in
-/// `options` (sparse revised simplex by default).
+/// Solves min c'x s.t. model rows, x >= 0, with the sparse revised simplex.
 [[nodiscard]] LpSolution solve_lp(const LpModel& model,
                                   const SimplexOptions& options = {});
 

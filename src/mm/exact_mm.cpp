@@ -1,6 +1,7 @@
-// Exact machine minimization: engine dispatch plus the original
-// depth-first branch-and-bound (kept as the differential oracle for the
-// layered state-space engine in src/exact/state_space.cpp).
+// Exact machine minimization on the layered state-space engine
+// (src/exact/state_space.cpp), plus the depth-first branch-and-bound
+// feasibility probe that the calibration-cost searches use to pack one
+// calibration.
 //
 // Completeness argument: any feasible schedule can be left-shifted so that
 // every job starts either at its release time or at the completion of the
@@ -24,7 +25,7 @@ class FeasibilitySearch {
  public:
   FeasibilitySearch(const Instance& instance, int machines,
                     std::int64_t node_budget,
-                    const RunLimits& limits = RunLimits::none())
+                    const RunLimits& limits)
       : instance_(instance),
         machines_(machines),
         node_budget_(node_budget),
@@ -131,7 +132,6 @@ class FeasibilitySearch {
 }  // namespace
 
 MMFeasibility exact_mm_feasibility(const Instance& instance, int machines,
-                                   ExactEngine engine,
                                    std::int64_t node_budget,
                                    const RunLimits& limits,
                                    TraceContext* trace) {
@@ -141,15 +141,19 @@ MMFeasibility exact_mm_feasibility(const Instance& instance, int machines,
     result.schedule.machines = machines;
     return result;
   }
-  if (engine == ExactEngine::kStateSpace) {
-    StateSpaceMmResult found =
-        state_space_mm_feasible(instance, machines, node_budget, limits, trace);
-    result.status = found.status;
-    result.feasible = found.feasible;
-    result.schedule = std::move(found.schedule);
-    result.nodes = found.states;
-    return result;
-  }
+  StateSpaceMmResult found =
+      state_space_mm_feasible(instance, machines, node_budget, limits, trace);
+  result.status = found.status;
+  result.feasible = found.feasible;
+  result.schedule = std::move(found.schedule);
+  result.nodes = found.states;
+  return result;
+}
+
+MMFeasibility branch_bound_feasibility(const Instance& instance, int machines,
+                                       std::int64_t node_budget,
+                                       const RunLimits& limits) {
+  MMFeasibility result;
   FeasibilitySearch search(instance, machines, node_budget, limits);
   const bool feasible = search.run();
   result.status = search.status();
@@ -181,7 +185,7 @@ MMResult ExactMM::minimize_traced(const Instance& instance,
   const int n = static_cast<int>(instance.size());
   for (int m = mm_lower_bound(instance); m <= n; ++m) {
     MMFeasibility search =
-        exact_mm_feasibility(instance, m, engine_, budget, limits, trace);
+        exact_mm_feasibility(instance, m, budget, limits, trace);
     result.search_nodes += search.nodes;
     if (search.status == SolveStatus::kLimitExceeded) {
       // Node/state budget: give up on exactness; report the greedy

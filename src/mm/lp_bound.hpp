@@ -23,7 +23,7 @@ namespace calisched {
 /// Returns the LP value (machines, fractional), or nullopt if the LP
 /// could not be solved (never happens for well-formed instances at sane
 /// horizons; guarded anyway). The integer lower bound is ceil(value).
-/// `options` selects the simplex engine and tolerances.
+/// `options` carries the simplex tolerances and limits.
 [[nodiscard]] std::optional<double> mm_lp_bound(
     const Instance& instance, const SimplexOptions& options = {});
 

@@ -9,16 +9,15 @@
 // Im et al.) are approximation *analyses*; as practical boxes we provide:
 //   * GreedyEdfMM  — polynomial first-fit EDF list scheduling over
 //                    increasing machine counts (always succeeds by m = n);
-//   * ExactMM      — exact search over left-shifted schedules (layered
-//                    state-space engine by default, branch-and-bound as a
-//                    differential oracle; measures realized alpha);
+//   * ExactMM      — exact search over left-shifted schedules on the
+//                    layered state-space engine (measures realized alpha;
+//                    tests check it against oracle::BranchBoundMM);
 //   * UnitEdfMM    — exact and polynomial for unit processing times.
 #pragma once
 
 #include <memory>
 #include <string>
 
-#include "exact/engine.hpp"
 #include "runtime/limits.hpp"
 #include "runtime/status.hpp"
 #include "verify/verify.hpp"
@@ -34,7 +33,7 @@ struct MMResult {
   SolveStatus status = SolveStatus::kOk;
   MMSchedule schedule;         ///< valid when feasible
   std::string algorithm;       ///< which box produced it
-  std::int64_t search_nodes = 0;  ///< branch-and-bound telemetry (0 for greedy)
+  std::int64_t search_nodes = 0;  ///< exact-search telemetry (0 for greedy)
 };
 
 /// Abstract MM black box; implementations must return verifier-clean
@@ -91,23 +90,19 @@ class GreedyEdfMM final : public MachineMinimizer {
   [[nodiscard]] std::string name() const override { return "greedy-edf"; }
 };
 
-/// Exact MM over left-shifted schedules with a node/state budget.
-/// Two interchangeable engines: the layered state-space search (default;
-/// src/exact/state_space.hpp) and the original depth-first branch-and-bound,
-/// kept as a differential oracle. Exceeding the budget falls back to the
+/// Exact MM over left-shifted schedules with a state budget, on the
+/// layered state-space search (src/exact/state_space.hpp), trying
+/// m = mm_lower_bound(I), ..., n. Exceeding the budget falls back to the
 /// greedy result (and the MMResult notes it via `algorithm`); the effective
 /// budget is `limits.node_budget` when set, else the constructor's.
 class ExactMM final : public MachineMinimizer {
  public:
-  explicit ExactMM(std::int64_t node_budget = 4'000'000,
-                   ExactEngine engine = ExactEngine::kStateSpace)
-      : node_budget_(node_budget), engine_(engine) {}
+  explicit ExactMM(std::int64_t node_budget = 4'000'000)
+      : node_budget_(node_budget) {}
   using MachineMinimizer::minimize;
   [[nodiscard]] MMResult minimize(const Instance& instance,
                                   const RunLimits& limits) const override;
-  [[nodiscard]] std::string name() const override {
-    return engine_ == ExactEngine::kStateSpace ? "exact-state" : "exact-bnb";
-  }
+  [[nodiscard]] std::string name() const override { return "exact-state"; }
 
  protected:
   /// Forwards the caller's trace to the state-space search, which adds its
@@ -118,7 +113,6 @@ class ExactMM final : public MachineMinimizer {
 
  private:
   std::int64_t node_budget_;
-  ExactEngine engine_;
 };
 
 /// Exact MM for unit processing times (p_j = 1 for all j): timestep-by-
@@ -166,14 +160,22 @@ struct MMFeasibility {
 };
 
 /// Nonpreemptive feasibility of `instance` on exactly `machines` machines,
-/// via the engine of choice (the same searches ExactMM uses). Budget
-/// exhaustion reports kLimitExceeded, never a feasibility verdict. The
-/// state-space engine adds its `state_space.*` work counters to `trace`.
+/// by the state-space search ExactMM uses. Budget exhaustion reports
+/// kLimitExceeded, never a feasibility verdict. The search adds its
+/// `state_space.*` work counters to `trace`.
 [[nodiscard]] MMFeasibility exact_mm_feasibility(
     const Instance& instance, int machines,
-    ExactEngine engine = ExactEngine::kStateSpace,
     std::int64_t node_budget = 4'000'000,
     const RunLimits& limits = RunLimits::none(),
     TraceContext* trace = nullptr);
+
+/// The same feasibility question by depth-first branch-and-bound over
+/// left-shifted schedules, branching on distinct machine free times. Cheap
+/// on a handful of jobs, so the calibration-cost searches use it to pack
+/// one calibration (`machines` = 1); oracle::BranchBoundMM runs it over a
+/// machine ladder. Same status contract as exact_mm_feasibility.
+[[nodiscard]] MMFeasibility branch_bound_feasibility(
+    const Instance& instance, int machines, std::int64_t node_budget,
+    const RunLimits& limits = RunLimits::none());
 
 }  // namespace calisched

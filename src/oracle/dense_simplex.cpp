@@ -1,15 +1,14 @@
-#include "lp/simplex.hpp"
-
+// The dense two-phase tableau: the reference oracle for the revised
+// simplex behind solve_lp. Every pivot re-eliminates the whole rows x cols
+// tableau, so it shares no data structure with the engine it checks.
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 
-#include "lp/revised_simplex.hpp"
+#include "oracle/oracle.hpp"
 #include "trace/trace.hpp"
-#include "util/thread_pool.hpp"
 
-namespace calisched {
+namespace calisched::oracle {
 namespace {
 
 /// Dense tableau state for one solve.
@@ -250,30 +249,11 @@ class Tableau {
       row[pivot_col] = 0.0;
     };
 
-    const std::size_t work =
-        static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_);
-    if (options_.parallel && work > options_.parallel_threshold) {
-      ++parallel_pivots_;
-      ThreadPool& pool = default_pool();
-      const std::size_t chunks = pool.size() * 4;
-      const std::size_t chunk_size =
-          (static_cast<std::size_t>(rows_) + chunks - 1) / chunks;
-      parallel_for(pool, chunks, [&](std::size_t chunk) {
-        const std::size_t begin = chunk * chunk_size;
-        const std::size_t end =
-            std::min(begin + chunk_size, static_cast<std::size_t>(rows_));
-        for (std::size_t r = begin; r < end; ++r) {
-          if (static_cast<int>(r) == pivot_row) continue;
-          eliminate_row(&cell(static_cast<int>(r), 0));
-        }
-      });
-    } else {
-      ++serial_pivots_;
-      for (int r = 0; r < rows_; ++r) {
-        if (r == pivot_row) continue;
-        eliminate_row(&cell(r, 0));
-      }
+    for (int r = 0; r < rows_; ++r) {
+      if (r == pivot_row) continue;
+      eliminate_row(&cell(r, 0));
     }
+    ++serial_pivots_;
     eliminate_row(costs1_.data());
     eliminate_row(costs2_.data());
     basis_[static_cast<std::size_t>(pivot_row)] = pivot_col;
@@ -282,7 +262,7 @@ class Tableau {
   /// After phase 1, pivot remaining zero-valued artificial basics out on any
   /// nonzero non-artificial column; rows with no such column are redundant
   /// (all-zero) and harmless. Expel pivots are counted separately from the
-  /// phase counts so that serial + parallel == phase1 + phase2 + expel.
+  /// phase counts so that serial == phase1 + phase2 + expel.
   void expel_artificials(std::int64_t& expel_pivots) {
     for (int r = 0; r < rows_; ++r) {
       if (basis_[static_cast<std::size_t>(r)] < artificial_base_) continue;
@@ -310,14 +290,12 @@ class Tableau {
     trace->set("pivots.phase1", solution.phase1_pivots);
     trace->set("pivots.phase2", solution.phase2_pivots);
     trace->set("pivots.expel", solution.expel_pivots);
-    trace->set("pivots.parallel", parallel_pivots_);
     trace->set("pivots.serial", serial_pivots_);
     trace->set("bland.activations", bland_activations_);
   }
 
   SimplexOptions options_;
   LimitPoller poller_;
-  std::int64_t parallel_pivots_ = 0;
   std::int64_t serial_pivots_ = 0;
   std::int64_t bland_activations_ = 0;
   int num_structural_ = 0;
@@ -334,35 +312,9 @@ class Tableau {
 
 }  // namespace
 
-SolveStatus lp_status_to_solve(LpStatus status) noexcept {
-  switch (status) {
-    case LpStatus::kOptimal: return SolveStatus::kOk;
-    case LpStatus::kInfeasible: return SolveStatus::kInfeasible;
-    case LpStatus::kUnbounded: return SolveStatus::kNumericalFailure;
-    case LpStatus::kIterationLimit: return SolveStatus::kLimitExceeded;
-    case LpStatus::kDeadlineExceeded: return SolveStatus::kDeadlineExceeded;
-    case LpStatus::kCancelled: return SolveStatus::kCancelled;
-  }
-  return SolveStatus::kNumericalFailure;
-}
-
-LpSolution solve_lp(const LpModel& model, const SimplexOptions& options) {
-  // Already over the limit: skip even the tableau/CSC build.
-  const SolveStatus entry = options.limits.check();
-  if (entry != SolveStatus::kOk) {
-    LpSolution solution;
-    solution.status = entry == SolveStatus::kCancelled
-                          ? LpStatus::kCancelled
-                          : LpStatus::kDeadlineExceeded;
-    return solution;
-  }
-  trace_note(options.trace, "lp.engine",
-             options.engine == LpEngine::kRevised ? "revised" : "dense");
-  if (options.engine == LpEngine::kRevised) {
-    return solve_lp_revised(model, options);
-  }
+LpSolution solve_lp_dense(const LpModel& model, const SimplexOptions& options) {
   Tableau tableau(model, options);
   return tableau.solve();
 }
 
-}  // namespace calisched
+}  // namespace calisched::oracle

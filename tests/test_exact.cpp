@@ -10,6 +10,7 @@
 #include "baselines/exact_ise.hpp"
 #include "gen/generators.hpp"
 #include "mm/mm.hpp"
+#include "oracle/oracle.hpp"
 #include "runtime/registry.hpp"
 #include "trace/trace.hpp"
 #include "verify/verify.hpp"
@@ -223,12 +224,8 @@ TEST(ExactDifferential, IseEnginesAgreeAcrossGeneratorFamilies) {
   ASSERT_GE(instances.size(), 200u);
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const Instance& instance = instances[i];
-    ExactIseOptions state_options;
-    state_options.engine = ExactEngine::kStateSpace;
-    ExactIseOptions bnb_options;
-    bnb_options.engine = ExactEngine::kBranchBound;
-    const ExactIseResult state = solve_exact_ise(instance, state_options);
-    const ExactIseResult bnb = solve_exact_ise(instance, bnb_options);
+    const ExactIseResult state = solve_exact_ise(instance);
+    const ExactIseResult bnb = oracle::solve_exact_ise_bnb(instance);
     ASSERT_TRUE(state.solved) << "instance " << i;
     ASSERT_TRUE(bnb.solved) << "instance " << i;
     ASSERT_EQ(state.feasible, bnb.feasible) << "instance " << i;
@@ -246,10 +243,9 @@ TEST(ExactDifferential, MmEnginesAgreeAcrossGeneratorFamilies) {
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const Instance& instance = instances[i];
     for (int machines = 1; machines <= 3; ++machines) {
-      const MMFeasibility state = exact_mm_feasibility(
-          instance, machines, ExactEngine::kStateSpace);
-      const MMFeasibility bnb = exact_mm_feasibility(
-          instance, machines, ExactEngine::kBranchBound);
+      const MMFeasibility state = exact_mm_feasibility(instance, machines);
+      const MMFeasibility bnb =
+          branch_bound_feasibility(instance, machines, 4'000'000);
       ASSERT_EQ(state.status, SolveStatus::kOk)
           << "instance " << i << ", m=" << machines;
       ASSERT_EQ(bnb.status, SolveStatus::kOk)
@@ -281,7 +277,6 @@ TEST(ExactStateSpace, DominanceAndMergingPruneTheLayeredGraph) {
   }
   TraceContext trace("exact_ise");
   ExactIseOptions options;
-  options.engine = ExactEngine::kStateSpace;
   options.trace = &trace;
   const ExactIseResult result = solve_exact_ise(instance, options);
   ASSERT_TRUE(result.solved);
@@ -289,11 +284,9 @@ TEST(ExactStateSpace, DominanceAndMergingPruneTheLayeredGraph) {
   EXPECT_TRUE(verify_ise(instance, result.schedule).ok());
 
   // Same optimum as the oracle, reached with a collapsed graph.
-  ExactIseOptions bnb_options;
-  bnb_options.engine = ExactEngine::kBranchBound;
-  const ExactIseResult oracle = solve_exact_ise(instance, bnb_options);
-  ASSERT_TRUE(oracle.solved && oracle.feasible);
-  EXPECT_EQ(result.optimal_calibrations, oracle.optimal_calibrations);
+  const ExactIseResult bnb = oracle::solve_exact_ise_bnb(instance);
+  ASSERT_TRUE(bnb.solved && bnb.feasible);
+  EXPECT_EQ(result.optimal_calibrations, bnb.optimal_calibrations);
 
   EXPECT_TRUE(trace.has_counter("state_space.states"));  // a search reported
   EXPECT_GT(trace.counter("state_space.merged"), 0);
@@ -311,8 +304,7 @@ TEST(ExactStateSpace, ExactMmForwardsItsTrace) {
   instance.T = 1'000'000;
   for (JobId j = 0; j < 6; ++j) instance.jobs.push_back({j, 0, 6, 4});
   TraceContext trace("mm");
-  const MMResult result =
-      ExactMM(4'000'000, ExactEngine::kStateSpace).minimize(instance, &trace);
+  const MMResult result = ExactMM(4'000'000).minimize(instance, &trace);
   ASSERT_TRUE(result.feasible);
   EXPECT_EQ(result.algorithm, "exact-state");
   EXPECT_GT(trace.counter("state_space.states"), 0);
@@ -330,15 +322,14 @@ TEST(ExactIse, BudgetOneNeverReportsInfeasible) {
   instance.machines = 1;
   instance.T = 10;
   instance.jobs = {{0, 0, 20, 4}, {1, 0, 20, 5}};
-  for (const ExactEngine engine :
-       {ExactEngine::kStateSpace, ExactEngine::kBranchBound}) {
-    ExactIseOptions options;
-    options.engine = engine;
-    options.node_budget = 1;
-    const ExactIseResult result = solve_exact_ise(instance, options);
-    EXPECT_FALSE(result.solved) << to_string(engine);
-    EXPECT_FALSE(result.feasible) << to_string(engine);
-    EXPECT_EQ(result.status, SolveStatus::kLimitExceeded) << to_string(engine);
+  ExactIseOptions options;
+  options.node_budget = 1;
+  for (const ExactIseResult& result :
+       {solve_exact_ise(instance, options),
+        oracle::solve_exact_ise_bnb(instance, options)}) {
+    EXPECT_FALSE(result.solved);
+    EXPECT_FALSE(result.feasible);
+    EXPECT_EQ(result.status, SolveStatus::kLimitExceeded);
   }
 }
 
@@ -349,13 +340,17 @@ TEST(ExactIse, RegistryBudgetOneSurfacesLimitNotInfeasible) {
   instance.jobs = {{0, 0, 20, 4}, {1, 0, 20, 5}};
   RunLimits limits;
   limits.node_budget = 1;
-  for (const char* name : {"exact-ise", "exact-ise-bnb"}) {
-    const Algorithm* algorithm = AlgorithmRegistry::builtin().find(name);
-    ASSERT_NE(algorithm, nullptr) << name;
-    const RunResult result = algorithm->run(instance, limits, nullptr);
-    EXPECT_FALSE(result.feasible) << name;
-    EXPECT_EQ(result.status, SolveStatus::kLimitExceeded) << name;
-  }
+  const Algorithm* algorithm = AlgorithmRegistry::builtin().find("exact-ise");
+  ASSERT_NE(algorithm, nullptr);
+  const RunResult result = algorithm->run(instance, limits, nullptr);
+  EXPECT_FALSE(result.feasible);
+  EXPECT_EQ(result.status, SolveStatus::kLimitExceeded);
+  // The branch-and-bound oracle reads the same limits.node_budget override.
+  ExactIseOptions bnb_options;
+  bnb_options.limits = limits;
+  const ExactIseResult bnb = oracle::solve_exact_ise_bnb(instance, bnb_options);
+  EXPECT_FALSE(bnb.solved);
+  EXPECT_EQ(bnb.status, SolveStatus::kLimitExceeded);
   // The MM adapter instead degrades to its greedy fallback: still feasible,
   // and still never "infeasible because the budget ran out".
   const Algorithm* mm = AlgorithmRegistry::builtin().find("mm-exact");

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <tuple>
 
 #include "gen/generators.hpp"
 #include "util/rng.hpp"
@@ -454,57 +455,65 @@ TEST(FractionalEdf, Lemma10Algorithm2IsAtLeastAsGood) {
   // Lemma 10: after the k-th calibration (in scan order over the mirrored
   // calendar), every job the Lemma-9 route has completed, Algorithm 2 has
   // completed too. Observable form: sort both per-job completion
-  // positions; Algorithm 2's i-th completion is never later.
-  //
-  // Pinned to the dense engine: the comparison is calendar-sensitive, and
-  // the calendar comes from rounding whichever optimal vertex the LP
-  // lands on (engines legitimately differ on degenerate optima).
-  SimplexOptions lp_options;
-  lp_options.engine = LpEngine::kDenseTableau;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const Instance instance = generate_long_window(long_params(seed, 12));
-    const int m_prime = 3 * instance.machines;
-    const TiseFractional lp = solve_tise_lp(instance, m_prime, lp_options);
-    ASSERT_EQ(lp.status, LpStatus::kOptimal);
-    const auto starts = round_calibrations(lp.points, lp.calibration_mass);
-    const Schedule calendar = assign_round_robin(instance, starts, 3 * m_prime);
+  // positions; Algorithm 2's i-th completion is never later. The scan
+  // order is (start, original machine, original before its mirror): Lemma
+  // 9 puts a split job on the mirror of its first piece's calibration, so
+  // that mirror must come right after its original.
+  for (const int n : {12, 20}) {
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      const Instance instance = generate_long_window(long_params(seed, n));
+      const int m_prime = 3 * instance.machines;
+      const TiseFractional lp = solve_tise_lp(instance, m_prime);
+      ASSERT_EQ(lp.status, LpStatus::kOptimal);
+      const auto starts = round_calibrations(lp.points, lp.calibration_mass);
+      const Schedule calendar =
+          assign_round_robin(instance, starts, 3 * m_prime);
 
-    const FractionalEdfResult fractional = fractional_edf(instance, calendar);
-    const IntegerizeResult lemma9 =
-        integerize_fractional_edf(instance, calendar, fractional);
-    const EdfAssignResult algorithm2 = edf_assign_jobs(instance, calendar);
-    ASSERT_TRUE(fractional.complete);
-    ASSERT_TRUE(lemma9.unassigned.empty());
-    ASSERT_TRUE(algorithm2.unassigned.empty()) << "seed " << seed;
+      const FractionalEdfResult fractional = fractional_edf(instance, calendar);
+      const IntegerizeResult lemma9 =
+          integerize_fractional_edf(instance, calendar, fractional);
+      const EdfAssignResult algorithm2 = edf_assign_jobs(instance, calendar);
+      ASSERT_TRUE(fractional.complete);
+      ASSERT_TRUE(lemma9.unassigned.empty());
+      ASSERT_TRUE(algorithm2.unassigned.empty())
+          << "n " << n << " seed " << seed;
 
-    // Shared scan order over the mirrored calendar C'.
-    std::vector<Calibration> scan = algorithm2.schedule.calibrations;
-    std::sort(scan.begin(), scan.end(),
-              [](const Calibration& a, const Calibration& b) {
-                return a.start != b.start ? a.start < b.start
-                                          : a.machine < b.machine;
-              });
-    const auto completion_positions = [&](const Schedule& schedule) {
-      std::vector<std::size_t> positions;
-      for (const ScheduledJob& sj : schedule.jobs) {
-        const Job& job = instance.job_by_id(sj.job);
-        for (std::size_t k = 0; k < scan.size(); ++k) {
-          if (scan[k].machine == sj.machine && scan[k].start <= sj.start &&
-              sj.start + job.proc <= scan[k].start + instance.T) {
-            positions.push_back(k);
-            break;
+      // Shared scan order over the mirrored calendar C'.
+      const int originals = calendar.machines;
+      const auto scan_key = [originals](const Calibration& cal) {
+        const bool mirrored = cal.machine >= originals;
+        return std::tuple(cal.start,
+                          mirrored ? cal.machine - originals : cal.machine,
+                          mirrored);
+      };
+      std::vector<Calibration> scan = algorithm2.schedule.calibrations;
+      std::sort(scan.begin(), scan.end(),
+                [&](const Calibration& a, const Calibration& b) {
+                  return scan_key(a) < scan_key(b);
+                });
+      const auto completion_positions = [&](const Schedule& schedule) {
+        std::vector<std::size_t> positions;
+        for (const ScheduledJob& sj : schedule.jobs) {
+          const Job& job = instance.job_by_id(sj.job);
+          for (std::size_t k = 0; k < scan.size(); ++k) {
+            if (scan[k].machine == sj.machine && scan[k].start <= sj.start &&
+                sj.start + job.proc <= scan[k].start + instance.T) {
+              positions.push_back(k);
+              break;
+            }
           }
         }
+        std::sort(positions.begin(), positions.end());
+        return positions;
+      };
+      const auto a2 = completion_positions(algorithm2.schedule);
+      const auto l9 = completion_positions(lemma9.schedule);
+      ASSERT_EQ(a2.size(), instance.size());
+      ASSERT_EQ(l9.size(), instance.size());
+      for (std::size_t i = 0; i < a2.size(); ++i) {
+        EXPECT_LE(a2[i], l9[i])
+            << "n " << n << " seed " << seed << " rank " << i;
       }
-      std::sort(positions.begin(), positions.end());
-      return positions;
-    };
-    const auto a2 = completion_positions(algorithm2.schedule);
-    const auto l9 = completion_positions(lemma9.schedule);
-    ASSERT_EQ(a2.size(), instance.size());
-    ASSERT_EQ(l9.size(), instance.size());
-    for (std::size_t i = 0; i < a2.size(); ++i) {
-      EXPECT_LE(a2[i], l9[i]) << "seed " << seed << " rank " << i;
     }
   }
 }

@@ -107,22 +107,24 @@ TEST(ExactMM, BeatsGreedyWhenGreedyOverprovisions) {
 
 TEST(ExactMM, FeasibilityProbeRespectsMachineCount) {
   const Instance instance = tight_pair();
-  for (const ExactEngine engine :
-       {ExactEngine::kStateSpace, ExactEngine::kBranchBound}) {
-    const MMFeasibility one = exact_mm_feasibility(instance, 1, engine, 100000);
+  const auto expect_two_machines = [&](auto&& probe) {
+    const MMFeasibility one = probe(1);
     EXPECT_EQ(one.status, SolveStatus::kOk);
     EXPECT_FALSE(one.feasible);
-    const MMFeasibility two = exact_mm_feasibility(instance, 2, engine, 100000);
+    const MMFeasibility two = probe(2);
     ASSERT_EQ(two.status, SolveStatus::kOk);
     ASSERT_TRUE(two.feasible);
     EXPECT_TRUE(verify_mm(instance, two.schedule).ok());
-  }
+  };
+  expect_two_machines(
+      [&](int m) { return exact_mm_feasibility(instance, m, 100000); });
+  expect_two_machines(
+      [&](int m) { return branch_bound_feasibility(instance, m, 100000); });
 }
 
 TEST(ExactMM, NodeCounterAdvances) {
   const Instance instance = tight_pair();
-  const MMFeasibility result = exact_mm_feasibility(
-      instance, 2, ExactEngine::kBranchBound, 100000);
+  const MMFeasibility result = branch_bound_feasibility(instance, 2, 100000);
   EXPECT_GT(result.nodes, 0);
 }
 
@@ -303,29 +305,21 @@ TEST(StartTimeLpBound, HonorsCallerSimplexOptionsAndLimits) {
   expired.limits = RunLimits::deadline_after(std::chrono::nanoseconds{0});
   EXPECT_FALSE(mm_start_time_lp_bound(instance, 2000, expired).has_value());
 
-  // The engine choice is threaded through too: both engines must certify
-  // the same fractional bound.
-  SimplexOptions dense;
-  dense.engine = LpEngine::kDenseTableau;
-  SimplexOptions revised;
-  revised.engine = LpEngine::kRevised;
-  const auto via_dense = mm_start_time_lp_bound(instance, 2000, dense);
-  const auto via_revised = mm_start_time_lp_bound(instance, 2000, revised);
-  ASSERT_TRUE(via_dense.has_value() && via_revised.has_value());
-  EXPECT_NEAR(*via_dense, *via_revised, 1e-6);
-
   // Repeated bound queries can chain a warm start + workspace through the
-  // options; the certified value must not move.
+  // options; the certified value must not move from a cold solve's.
+  const auto cold = mm_start_time_lp_bound(instance, 2000, SimplexOptions{});
+  ASSERT_TRUE(cold.has_value());
   WarmStart warm;
   SimplexWorkspace workspace;
-  revised.warm_start = &warm;
-  revised.workspace = &workspace;
-  const auto first = mm_start_time_lp_bound(instance, 2000, revised);
-  const auto second = mm_start_time_lp_bound(instance, 2000, revised);
+  SimplexOptions chained;
+  chained.warm_start = &warm;
+  chained.workspace = &workspace;
+  const auto first = mm_start_time_lp_bound(instance, 2000, chained);
+  const auto second = mm_start_time_lp_bound(instance, 2000, chained);
   ASSERT_TRUE(first.has_value() && second.has_value());
   EXPECT_TRUE(warm.valid);
-  EXPECT_NEAR(*first, *via_dense, 1e-6);
-  EXPECT_NEAR(*second, *via_dense, 1e-6);
+  EXPECT_NEAR(*first, *cold, 1e-6);
+  EXPECT_NEAR(*second, *cold, 1e-6);
 }
 
 TEST(SpeedupMM, HalvesMachinesOnTightPair) {

@@ -34,6 +34,7 @@
 #include "longwin/rounding.hpp"
 #include "longwin/speed_transform.hpp"
 #include "mm/mm.hpp"
+#include "oracle/oracle.hpp"
 #include "shortwin/short_pipeline.hpp"
 #include "solver/ise_solver.hpp"
 #include "verify/verify.hpp"
@@ -129,31 +130,29 @@ TEST_P(LongWindowSweep, PipelineInvariants) {
 }
 
 TEST_P(LongWindowSweep, LpEnginesAgreeOnTiseRelaxation) {
-  // P7 (differential): the sparse revised simplex and the dense tableau
-  // must agree on the TISE relaxation across the whole sweep — same
-  // status, and at optimality the same objective to LP tolerance. Vertex
-  // choice may differ (degenerate optima), so values are checked only
-  // through each engine's own feasibility, not against each other.
+  // P7 (differential): the sparse revised simplex and the dense-tableau
+  // oracle must agree on the TISE relaxation across the whole sweep. Both
+  // solve the same monolithic build_tise_lp model: same status, and at
+  // optimality the same objective to LP tolerance. Vertex choice may
+  // differ (degenerate optima), so values are not compared. (The split
+  // solve_tise_lp objective may rise above the monolithic one, see P10.)
   const Instance instance = generate_long_window(to_params(GetParam()));
   const int m_prime = 3 * instance.machines;
-  SimplexOptions dense_options;
-  dense_options.engine = LpEngine::kDenseTableau;
-  SimplexOptions revised_options;
-  revised_options.engine = LpEngine::kRevised;
-  const TiseFractional dense = solve_tise_lp(instance, m_prime, dense_options);
-  const TiseFractional revised =
-      solve_tise_lp(instance, m_prime, revised_options);
+  const LpModel model = build_tise_lp(instance, m_prime).model;
+  const LpSolution dense = oracle::solve_lp_dense(model);
+  const LpSolution revised = solve_lp(model);
   ASSERT_EQ(dense.status, revised.status);
   if (dense.status != LpStatus::kOptimal) return;
   EXPECT_NEAR(dense.objective, revised.objective, 1e-6);
-  // Both fractional solutions must cover every job's processing demand.
-  for (const TiseFractional* lp : {&dense, &revised}) {
-    ASSERT_EQ(lp->assignment.size(), instance.size());
-    for (std::size_t j = 0; j < instance.size(); ++j) {
-      double fraction = 0.0;
-      for (const auto& [point, value] : lp->assignment[j]) fraction += value;
-      EXPECT_NEAR(fraction, 1.0, 1e-6) << "job " << j;
-    }
+  // The fractional solution the pipeline uses must cover every job's
+  // processing demand.
+  const TiseFractional split = solve_tise_lp(instance, m_prime);
+  ASSERT_EQ(split.status, LpStatus::kOptimal);
+  ASSERT_EQ(split.assignment.size(), instance.size());
+  for (std::size_t j = 0; j < instance.size(); ++j) {
+    double fraction = 0.0;
+    for (const auto& [point, value] : split.assignment[j]) fraction += value;
+    EXPECT_NEAR(fraction, 1.0, 1e-6) << "job " << j;
   }
 }
 

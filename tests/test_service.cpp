@@ -379,6 +379,22 @@ TEST(SolveService, UnknownAlgorithmIsClientError) {
   EXPECT_EQ(service.stats().rejected, 0);
 }
 
+TEST(SolveService, OracleNamesAreUnknownAlgorithms) {
+  // The branch-and-bound oracles are test-and-bench code, not registry
+  // entries: a request naming one is refused like any unknown name.
+  SolveService service(AlgorithmRegistry::builtin(), {});
+  const SolveOutcome outcome =
+      service
+          .submit(solve_request(generate_mixed(small_params(12), 0.5),
+                                "mm-exact-bnb"))
+          ->wait();
+  EXPECT_FALSE(outcome.feasible);
+  EXPECT_FALSE(outcome.rejected);
+  EXPECT_NE(outcome.error.find("unknown algorithm 'mm-exact-bnb'"),
+            std::string::npos);
+  EXPECT_EQ(service.stats().errors, 1);
+}
+
 TEST(SolveService, ShutdownDrainsAndRefusesNewWork) {
   ServiceOptions options;
   options.threads = 2;

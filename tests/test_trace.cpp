@@ -13,6 +13,7 @@
 #include "longwin/long_pipeline.hpp"
 #include "lp/simplex.hpp"
 #include "mm/mm.hpp"
+#include "oracle/oracle.hpp"
 #include "shortwin/short_pipeline.hpp"
 #include "solver/ise_solver.hpp"
 #include "trace/json.hpp"
@@ -232,10 +233,10 @@ Instance mixed_instance(std::uint64_t seed) {
 }
 
 TEST(TraceIntegration, DensePivotCountersPartitionByExecutionPath) {
-  // Every dense-tableau pivot runs either the serial or the parallel row
-  // elimination, and belongs to exactly one of phase 1, phase 2, or the
-  // post-phase-1 artificial expulsion. The two decompositions must count
-  // the same pivots: serial + parallel == phase1 + phase2 + expel.
+  // Every dense-tableau pivot runs the serial row elimination and belongs
+  // to exactly one of phase 1, phase 2, or the post-phase-1 artificial
+  // expulsion. The two decompositions must count the same pivots:
+  // serial == phase1 + phase2 + expel.
   LpModel model;
   for (int v = 0; v < 6; ++v) {
     model.add_variable("v" + std::to_string(v), (v % 2 == 0) ? 1.0 : -0.5);
@@ -253,28 +254,15 @@ TEST(TraceIntegration, DensePivotCountersPartitionByExecutionPath) {
   model.add_coefficient(row, 0, 1.0);
   model.add_coefficient(row, 1, 1.0);
 
-  for (const bool force_parallel : {false, true}) {
-    TraceContext trace("lp");
-    SimplexOptions options;
-    options.engine = LpEngine::kDenseTableau;
-    options.trace = &trace;
-    options.parallel = force_parallel;
-    if (force_parallel) options.parallel_threshold = 0;
-    const LpSolution solution = solve_lp(model, options);
-    ASSERT_EQ(solution.status, LpStatus::kOptimal);
-    EXPECT_GT(trace.counter("pivots.phase1"), 0);
-    EXPECT_EQ(
-        trace.counter("pivots.serial") + trace.counter("pivots.parallel"),
-        trace.counter("pivots.phase1") + trace.counter("pivots.phase2") +
-            trace.counter("pivots.expel"))
-        << (force_parallel ? "parallel" : "serial");
-    // The forced path must actually be the one that ran.
-    if (force_parallel) {
-      EXPECT_EQ(trace.counter("pivots.serial"), 0);
-    } else {
-      EXPECT_EQ(trace.counter("pivots.parallel"), 0);
-    }
-  }
+  TraceContext trace("lp");
+  SimplexOptions options;
+  options.trace = &trace;
+  const LpSolution solution = oracle::solve_lp_dense(model, options);
+  ASSERT_EQ(solution.status, LpStatus::kOptimal);
+  EXPECT_GT(trace.counter("pivots.phase1"), 0);
+  EXPECT_EQ(trace.counter("pivots.serial"),
+            trace.counter("pivots.phase1") + trace.counter("pivots.phase2") +
+                trace.counter("pivots.expel"));
 }
 
 TEST(TraceIntegration, SolveIseTraceMatchesTelemetryViews) {
