@@ -1,31 +1,20 @@
-// Experiment E14 — intra-solve parallelism and simplex warm starts.
+// Experiment E14 — intra-solve parallelism.
 //
-// Part A exercises the IntervalOptions::threads fan-out: one wide
-// short-window instance (many disjoint 2*gamma*T intervals, the
-// LP-rounding box doing real per-interval work) solved at 1/2/4/8 worker
-// threads, recording wall time and the byte-identity of the serialized
-// schedule. The acceptance bar is >= 2x at 4 threads — but like E13 the
+// Exercises the IntervalOptions::threads fan-out: one wide short-window
+// instance (many disjoint 2*gamma*T intervals, the LP-rounding box doing
+// real per-interval work) solved at 1/2/4/8 worker threads, recording wall
+// time and the byte-identity of the serialized schedule. The acceptance bar is >= 2x at 4 threads — but like E13 the
 // speedup check is gated on hardware_concurrency >= 4; the determinism
 // check runs everywhere.
-//
-// Part B measures the WarmStart + SimplexWorkspace payoff on the
-// m'-descending rhs sweep pattern (one LP shape, capacity tightening step
-// by step) and on straight re-solves: total simplex pivots cold vs
-// warm-chained, with the dense tableau's objective as the per-step oracle.
 #include <chrono>
-#include <cmath>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/schedule_io.hpp"
 #include "gen/generators.hpp"
 #include "harness.hpp"
-#include "lp/revised_simplex.hpp"
-#include "lp/simplex.hpp"
 #include "mm/lp_rounding_mm.hpp"
-#include "oracle/oracle.hpp"
 #include "shortwin/short_pipeline.hpp"
 #include "verify/verify.hpp"
 
@@ -41,47 +30,11 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
          1e6;
 }
 
-/// One LP of the sweep family: negative costs push against per-variable
-/// caps, a shared capacity row carries the sweeping rhs, and >= cover rows
-/// force Phase 1 work on every cold solve. The structure is identical at
-/// every capacity, so a warm basis can transfer between steps.
-LpModel sweep_model(int capacity) {
-  LpModel model;
-  constexpr int kVars = 24;
-  for (int v = 0; v < kVars; ++v) {
-    model.add_variable("x" + std::to_string(v),
-                       -(1.0 + 0.17 * static_cast<double>(v % 7)));
-  }
-  const int shared =
-      model.add_row("capacity", RowSense::kLe, static_cast<double>(capacity));
-  for (int v = 0; v < kVars; ++v) {
-    model.add_coefficient(shared, v, 1.0);
-    const int cap =
-        model.add_row("cap" + std::to_string(v), RowSense::kLe,
-                      2.0 + static_cast<double>((3 * v) % 5));
-    model.add_coefficient(cap, v, 1.0);
-  }
-  for (int r = 0; r < 4; ++r) {
-    const int row = model.add_row("cover" + std::to_string(r), RowSense::kGe,
-                                  1.0 + 0.5 * static_cast<double>(r));
-    for (int v = r; v < kVars; v += 4) model.add_coefficient(row, v, 1.0);
-  }
-  return model;
-}
-
-std::int64_t total_pivots(const LpSolution& solution) {
-  return solution.phase1_pivots + solution.phase2_pivots +
-         solution.expel_pivots;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchHarness bench("E14",
-                     "intra-solve parallelism and simplex warm starts",
-                     argc, argv);
+  BenchHarness bench("E14", "intra-solve parallelism", argc, argv);
 
-  // --- Part A: parallel interval fan-out -------------------------------
   GenParams params;
   params.seed = 42;
   params.n = static_cast<int>(bench.args().get_int("n", 480));
@@ -148,90 +101,12 @@ int main(int argc, char** argv) {
     bench.check("4-thread solve >= 2x single-thread", speedup >= 2.0);
   }
 
-  // --- Part B: warm-started rhs sweep ----------------------------------
-  Table& sweep = bench.table(
-      "warmstart", {"capacity", "cold-pivots", "warm-pivots", "warm?",
-                    "objective", "oracle-agrees"});
-  WarmStart warm;
-  SimplexWorkspace workspace;
-  std::int64_t cold_total = 0;
-  std::int64_t warm_total = 0;
-  int accepted = 0;
-  bool oracle_ok = true;
-  for (int capacity = 30; capacity >= 8; --capacity) {
-    const LpModel model = sweep_model(capacity);
-    const LpSolution cold = solve_lp(model);
-
-    SimplexOptions warm_options;
-    warm_options.warm_start = &warm;
-    warm_options.workspace = &workspace;
-    const LpSolution chained = solve_lp(model, warm_options);
-
-    const LpSolution dense = oracle::solve_lp_dense(model);
-
-    const bool agrees = cold.status == LpStatus::kOptimal &&
-                        chained.status == LpStatus::kOptimal &&
-                        dense.status == LpStatus::kOptimal &&
-                        std::abs(chained.objective - dense.objective) < 1e-6 &&
-                        std::abs(cold.objective - dense.objective) < 1e-6;
-    oracle_ok = oracle_ok && agrees;
-    cold_total += total_pivots(cold);
-    warm_total += total_pivots(chained);
-    accepted += chained.warm_started ? 1 : 0;
-    sweep.row()
-        .cell(std::int64_t{capacity})
-        .cell(total_pivots(cold))
-        .cell(total_pivots(chained))
-        .cell(std::string(chained.warm_started ? "yes" : "no"))
-        .cell(chained.objective, 3)
-        .cell(std::string(agrees ? "yes" : "NO"));
-  }
-  bench.print_table("warmstart",
-                    "m'-style capacity sweep, one WarmStart + "
-                    "SimplexWorkspace chained through every step");
-
-  // Straight re-solves of one model: after the first solve the exported
-  // basis is optimal, so every re-solve should cost zero Phase-1 pivots.
-  WarmStart resolve_warm;
-  SimplexWorkspace resolve_workspace;
-  const LpModel fixed = sweep_model(20);
-  std::int64_t resolve_phase1 = 0;
-  bool resolved_warm = true;
-  for (int repeat = 0; repeat < 5; ++repeat) {
-    SimplexOptions options;
-    options.warm_start = &resolve_warm;
-    options.workspace = &resolve_workspace;
-    const LpSolution solution = solve_lp(fixed, options);
-    if (repeat > 0) {
-      resolve_phase1 += solution.phase1_pivots;
-      resolved_warm = resolved_warm && solution.warm_started;
-    }
-  }
-
-  const double reduction =
-      cold_total > 0
-          ? 1.0 - static_cast<double>(warm_total) /
-                      static_cast<double>(cold_total)
-          : 0.0;
-  bench.metric("cold_total_pivots", static_cast<double>(cold_total));
-  bench.metric("warm_total_pivots", static_cast<double>(warm_total));
-  bench.metric("warm_accepted_steps", static_cast<double>(accepted));
-  bench.metric("pivot_reduction", reduction);
-  bench.check("warm-chained sweep matches the dense oracle", oracle_ok);
-  bench.check("warm chaining reduces total pivots", warm_total < cold_total);
-  bench.check("re-solves accept the exported basis", resolved_warm);
-  bench.check("re-solves need zero phase-1 pivots", resolve_phase1 == 0);
-
   bench.note(
       "the interval fan-out merges per-task results and scratch traces in "
       "interval order, so the schedule bytes are identical at every thread "
       "count; 4-thread speedup on this machine: " +
       format_double(speedup, 2) + "x (" + std::to_string(cores) +
       " hardware cores; the >= 2x bar applies on machines with >= 4 cores, "
-      "where the disjoint intervals solve independently). Warm-chaining one "
-      "basis through the capacity sweep cut total pivots from " +
-      std::to_string(cold_total) + " to " + std::to_string(warm_total) +
-      " (" + format_double(100.0 * reduction, 1) +
-      "% fewer), and re-solving an unchanged model skips Phase 1 entirely.");
+      "where the disjoint intervals solve independently).");
   return bench.finish();
 }

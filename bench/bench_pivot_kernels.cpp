@@ -5,12 +5,12 @@
 // pieces so a kernel regression is visible before it dilutes into an
 // end-to-end average. Two layers:
 //
-//  * Solve layer — the largest E12 TISE LP, solved repeatedly against a
-//    deliberately cold workspace (fresh arena per solve) and a warm one
-//    (single arena reused). The warm phase is the allocation assertion
-//    the sanitizer jobs lean on: after one warmup solve, a reused
-//    workspace must report zero buffer growths — the arena has reached
-//    the family's working size and the pivot loop allocates nothing.
+//  * Solve layer — the largest E12 TISE LP, solved repeatedly cold (each
+//    solve on a fresh thread, whose arena starts empty) and warm (on this
+//    thread, reusing its one arena). The warm phase is the allocation
+//    assertion the sanitizer jobs lean on: after one warmup solve, the
+//    reused arena must report zero buffer growths — it has reached the
+//    family's working size and the pivot loop allocates nothing.
 //  * Kernel layer — synthetic CscMatrix / EtaFile instances exercising
 //    gather-dot pricing, FTRAN, and BTRAN in fixed-repetition loops, so
 //    the streamed-entry totals are machine-independent (gated) while the
@@ -19,12 +19,12 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/generators.hpp"
 #include "harness.hpp"
 #include "longwin/tise_lp.hpp"
-#include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "lp/sparse.hpp"
 #include "oracle/oracle.hpp"
@@ -90,16 +90,15 @@ int main(int argc, char** argv) {
   revised_options.trace = &cold_trace;
   const auto cold_start = std::chrono::steady_clock::now();
   for (int rep = 0; rep < kSolveReps; ++rep) {
-    SimplexWorkspace fresh;  // new arena per solve: every buffer regrows
-    revised_options.workspace = &fresh;
-    const LpSolution solution = solve_lp(built.model, revised_options);
-    cold_objective = solution.objective;
+    // A fresh thread has an empty arena: every buffer regrows.
+    std::thread cold([&] {
+      cold_objective = solve_lp(built.model, revised_options).objective;
+    });
+    cold.join();
   }
   const double cold_ms = wall_ms_since(cold_start);
   bench.lp_counters("cold", cold_trace, cold_ms, /*record_metrics=*/false);
 
-  SimplexWorkspace shared;
-  revised_options.workspace = &shared;
   revised_options.trace = nullptr;
   double warm_objective = 0.0;
   warm_objective = solve_lp(built.model, revised_options).objective;  // warmup
@@ -113,7 +112,8 @@ int main(int argc, char** argv) {
   bench.lp_counters("warm", warm_trace, warm_ms);
   bench.print_table("lp_counters",
                     "n=32 TISE LP x" + std::to_string(kSolveReps) +
-                        ": fresh arena per solve vs one reused arena");
+                        ": fresh arena per solve (new thread) vs one reused "
+                        "arena");
 
   bench.check("revised matches dense oracle",
               dense.status == LpStatus::kOptimal &&

@@ -26,7 +26,7 @@ namespace calisched {
 
 /// LP value (fractional calibrations) or nullopt when the solver fails
 /// (does not happen at library scales). Integer bound: ceil(value).
-/// `options` carries the simplex tolerances and limits.
+/// `options` carries the simplex pivot cap and limits.
 [[nodiscard]] std::optional<double> ise_lp_bound(
     const Instance& instance, const SimplexOptions& options = {});
 

@@ -167,12 +167,10 @@ TiseFractional solve_tise_lp(const Instance& instance, int m_prime,
     result.largest_component_jobs = std::max(
         result.largest_component_jobs, static_cast<int>(component.size()));
 
-    // Pivot cap and limits are whole-solve budgets; a warm start only
-    // fits the one-block model, so blocks cold-start.
+    // Pivot cap and limits are whole-solve budgets.
     SimplexOptions block_options = options;
     block_options.max_pivots = std::max<std::int64_t>(
         options.max_pivots - result.pivots, 0);
-    block_options.warm_start = nullptr;
     TraceContext scratch("simplex");
     block_options.trace = options.trace ? &scratch : nullptr;
     TiseFractional solved = solve_block(block, m_prime, block_options);

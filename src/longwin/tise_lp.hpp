@@ -70,11 +70,9 @@ struct TiseFractional {
 /// by the blocks (each gets what the earlier ones left) and `limits` holds
 /// for the whole solve. Each block's simplex trace lands in a scratch
 /// context absorbed into `options.trace` in block order, so simplex
-/// counters are sums over blocks (including the `*.peak` ones). A caller
-/// `warm_start` is honoured only with a single block; otherwise every
-/// block cold-starts and the WarmStart is left as it was. On a non-optimal
-/// block the solve stops and returns that status with no solution. A
-/// single component takes exactly the unsplit path.
+/// counters are sums over blocks (including the `*.peak` ones). On a
+/// non-optimal block the solve stops and returns that status with no
+/// solution. A single component takes exactly the unsplit path.
 [[nodiscard]] TiseFractional solve_tise_lp(const Instance& instance, int m_prime,
                                            const SimplexOptions& options = {});
 

@@ -18,6 +18,23 @@ std::uint64_t value_bits(double value) {
   return bits;
 }
 
+/// Pivots since the last basis refactorization that trigger the next one.
+/// The two-sided triangular peel makes a rebuild near-linear in the basis
+/// nonzeros, but each rebuild still FTRANs every basis column, so the sweet
+/// spot sits well above the eta-growth break-even; 64 won a 4x4x4
+/// parameter sweep on the TISE family.
+constexpr int kRefactorInterval = 64;
+/// Partial pricing: cap on the candidate list carried between pivots (each
+/// pivot re-prices the survivors; a full sweep still precedes any
+/// "optimal"). Small is fine — the list only seeds the next pivot.
+constexpr int kPricingCandidates = 8;
+/// Partial pricing: columns examined per scan section. Tuned over the E12
+/// TISE family (n = 6..32, independent seeds): 192 beat 128/160/224/256 on
+/// total wall clock, mostly through luckier entering-column choices (fewer
+/// pivots on the larger instances); the scan cost itself is nearly flat
+/// across that range.
+constexpr int kPricingSection = 192;
+
 /// splitmix64-style finalizer for the duplicate-row hash.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -28,10 +45,10 @@ std::uint64_t mix64(std::uint64_t x) {
 
 }  // namespace
 
-PresolvedLp presolve_lp(const LpModel& model, const SimplexOptions& options) {
+PresolvedLp presolve_lp(const LpModel& model) {
   const int rows = model.num_rows();
   const int cols = model.num_variables();
-  const double tol = options.feasibility_tol;
+  const double tol = kLpFeasibilityTol;
   PresolvedLp out;
   out.column_map.assign(static_cast<std::size_t>(cols), -1);
   out.fixed_values.assign(static_cast<std::size_t>(cols), 0.0);
@@ -59,157 +76,155 @@ PresolvedLp presolve_lp(const LpModel& model, const SimplexOptions& options) {
     return false;
   };
 
-  if (options.presolve) {
-    // --- iterate empty-row elimination + singleton-equality fixing -------
-    bool changed = true;
-    for (int pass = 0; changed && pass < 16; ++pass) {
-      changed = false;
-      for (int r = 0; r < rows; ++r) {
-        if (dropped[static_cast<std::size_t>(r)]) continue;
-        int live = 0;
-        int live_col = -1;
-        double live_coef = 0.0;
-        for (const LpEntry& entry : model.row_entries(r)) {
-          if (fixed[static_cast<std::size_t>(entry.column)]) continue;
-          ++live;
-          live_col = entry.column;
-          live_coef = entry.value;
-        }
-        const double b = adjusted_rhs(r);
-        if (live == 0) {
-          if (!empty_row_ok(model.sense(r), b)) {
-            summary.infeasible = true;
-            return out;
-          }
-          dropped[static_cast<std::size_t>(r)] = 1;
-          ++summary.rows_dropped;
-          changed = true;
-        } else if (live == 1 && model.sense(r) == RowSense::kEq &&
-                   live_coef != 0.0) {
-          const double x = b / live_coef;
-          if (x < -tol) {
-            summary.infeasible = true;
-            return out;
-          }
-          fixed[static_cast<std::size_t>(live_col)] = 1;
-          out.fixed_values[static_cast<std::size_t>(live_col)] = std::max(0.0, x);
-          ++summary.cols_fixed;
-          dropped[static_cast<std::size_t>(r)] = 1;
-          ++summary.rows_dropped;
-          changed = true;
-        }
-      }
-    }
-
-    // --- empty columns: unconstrained variables sit at their bound -------
-    std::vector<int> occurrences(static_cast<std::size_t>(cols), 0);
+  // --- iterate empty-row elimination + singleton-equality fixing -------
+  bool changed = true;
+  for (int pass = 0; changed && pass < 16; ++pass) {
+    changed = false;
     for (int r = 0; r < rows; ++r) {
       if (dropped[static_cast<std::size_t>(r)]) continue;
+      int live = 0;
+      int live_col = -1;
+      double live_coef = 0.0;
       for (const LpEntry& entry : model.row_entries(r)) {
-        if (!fixed[static_cast<std::size_t>(entry.column)]) {
-          ++occurrences[static_cast<std::size_t>(entry.column)];
+        if (fixed[static_cast<std::size_t>(entry.column)]) continue;
+        ++live;
+        live_col = entry.column;
+        live_coef = entry.value;
+      }
+      const double b = adjusted_rhs(r);
+      if (live == 0) {
+        if (!empty_row_ok(model.sense(r), b)) {
+          summary.infeasible = true;
+          return out;
         }
+        dropped[static_cast<std::size_t>(r)] = 1;
+        ++summary.rows_dropped;
+        changed = true;
+      } else if (live == 1 && model.sense(r) == RowSense::kEq &&
+                 live_coef != 0.0) {
+        const double x = b / live_coef;
+        if (x < -tol) {
+          summary.infeasible = true;
+          return out;
+        }
+        fixed[static_cast<std::size_t>(live_col)] = 1;
+        out.fixed_values[static_cast<std::size_t>(live_col)] = std::max(0.0, x);
+        ++summary.cols_fixed;
+        dropped[static_cast<std::size_t>(r)] = 1;
+        ++summary.rows_dropped;
+        changed = true;
       }
     }
-    for (int c = 0; c < cols; ++c) {
-      if (fixed[static_cast<std::size_t>(c)] ||
-          occurrences[static_cast<std::size_t>(c)] > 0) {
-        continue;
-      }
-      // x_c >= 0 free of constraints: optimal at 0, unless decreasing cost
-      // makes the whole model unbounded (pending feasibility of the rest).
-      if (model.cost(c) < -options.reduced_cost_tol) {
-        summary.unbounded_if_feasible = true;
-      }
-      fixed[static_cast<std::size_t>(c)] = 1;
-      out.fixed_values[static_cast<std::size_t>(c)] = 0.0;
-      ++summary.cols_fixed;
-    }
+  }
 
-    // --- duplicate rows: keep the binding copy ---------------------------
-    // A duplicate is a row with the same sense and the same live entries
-    // (values compared bit-exactly — presolve only merges literal
-    // duplicates, e.g. a constraint added twice by a model builder).
-    // Candidate rows are grouped by an order-independent hash of that key;
-    // only hash-equal groups materialize sorted entry lists for the exact
-    // comparison, so the common no-duplicate case builds no per-row key at
-    // all (the std::map<RowKey> this replaces allocated one entry vector
-    // per live row and compared them O(log n) times each).
-    std::vector<std::pair<std::uint64_t, int>> row_hashes;
-    row_hashes.reserve(static_cast<std::size_t>(rows));
-    for (int r = 0; r < rows; ++r) {
-      if (dropped[static_cast<std::size_t>(r)]) continue;
-      std::uint64_t h = mix64(static_cast<std::uint64_t>(model.sense(r)) + 1);
-      for (const LpEntry& entry : model.row_entries(r)) {
-        if (fixed[static_cast<std::size_t>(entry.column)]) continue;
-        // Commutative combine (+) so entry order never matters; exactness
-        // is restored by the full comparison below.
-        h += mix64(static_cast<std::uint64_t>(
-                       static_cast<std::uint32_t>(entry.column)) ^
-                   (value_bits(entry.value) * 0x9e3779b97f4a7c15ULL));
+  // --- empty columns: unconstrained variables sit at their bound -------
+  std::vector<int> occurrences(static_cast<std::size_t>(cols), 0);
+  for (int r = 0; r < rows; ++r) {
+    if (dropped[static_cast<std::size_t>(r)]) continue;
+    for (const LpEntry& entry : model.row_entries(r)) {
+      if (!fixed[static_cast<std::size_t>(entry.column)]) {
+        ++occurrences[static_cast<std::size_t>(entry.column)];
       }
-      row_hashes.emplace_back(h, r);
     }
-    std::sort(row_hashes.begin(), row_hashes.end());
+  }
+  for (int c = 0; c < cols; ++c) {
+    if (fixed[static_cast<std::size_t>(c)] ||
+        occurrences[static_cast<std::size_t>(c)] > 0) {
+      continue;
+    }
+    // x_c >= 0 free of constraints: optimal at 0, unless decreasing cost
+    // makes the whole model unbounded (pending feasibility of the rest).
+    if (model.cost(c) < -kLpReducedCostTol) {
+      summary.unbounded_if_feasible = true;
+    }
+    fixed[static_cast<std::size_t>(c)] = 1;
+    out.fixed_values[static_cast<std::size_t>(c)] = 0.0;
+    ++summary.cols_fixed;
+  }
 
-    using ExactKey = std::vector<std::pair<int, std::uint64_t>>;
-    // Leading (-1, sense) pseudo-entry keeps sense inside the one key.
-    const auto build_key = [&](int r, ExactKey& key) {
-      key.clear();
-      key.emplace_back(-1, static_cast<std::uint64_t>(model.sense(r)));
-      for (const LpEntry& entry : model.row_entries(r)) {
-        if (fixed[static_cast<std::size_t>(entry.column)]) continue;
-        key.emplace_back(entry.column, value_bits(entry.value));
-      }
-      std::sort(key.begin() + 1, key.end());
-    };
-    ExactKey key_scratch;
-    std::vector<std::pair<ExactKey, int>> group;  // distinct key -> survivor
-    for (std::size_t i = 0; i < row_hashes.size();) {
-      std::size_t j = i + 1;
-      while (j < row_hashes.size() &&
-             row_hashes[j].first == row_hashes[i].first) {
-        ++j;
-      }
-      if (j - i > 1) {
-        // Rows in a group arrive in ascending row order (pair sort), so
-        // the survivor logic matches the old in-order map walk exactly.
-        group.clear();
-        for (std::size_t g = i; g < j; ++g) {
-          const int r = row_hashes[g].second;
-          build_key(r, key_scratch);
-          bool matched = false;
-          for (auto& [key, survivor] : group) {
-            if (key != key_scratch) continue;  // hash collision
-            matched = true;
-            const int prior = survivor;
-            const double b_prior = adjusted_rhs(prior);
-            const double b_r = adjusted_rhs(r);
-            int drop = r;
-            switch (model.sense(r)) {
-              case RowSense::kLe:  // smaller rhs binds
-                if (b_r < b_prior) drop = prior;
-                break;
-              case RowSense::kGe:  // larger rhs binds
-                if (b_r > b_prior) drop = prior;
-                break;
-              case RowSense::kEq:
-                if (std::fabs(b_r - b_prior) > tol) {
-                  summary.infeasible = true;
-                  return out;
-                }
-                break;
-            }
-            dropped[static_cast<std::size_t>(drop)] = 1;
-            ++summary.rows_dropped;
-            if (drop == prior) survivor = r;
-            break;
+  // --- duplicate rows: keep the binding copy ---------------------------
+  // A duplicate is a row with the same sense and the same live entries
+  // (values compared bit-exactly — presolve only merges literal
+  // duplicates, e.g. a constraint added twice by a model builder).
+  // Candidate rows are grouped by an order-independent hash of that key;
+  // only hash-equal groups materialize sorted entry lists for the exact
+  // comparison, so the common no-duplicate case builds no per-row key at
+  // all (the std::map<RowKey> this replaces allocated one entry vector
+  // per live row and compared them O(log n) times each).
+  std::vector<std::pair<std::uint64_t, int>> row_hashes;
+  row_hashes.reserve(static_cast<std::size_t>(rows));
+  for (int r = 0; r < rows; ++r) {
+    if (dropped[static_cast<std::size_t>(r)]) continue;
+    std::uint64_t h = mix64(static_cast<std::uint64_t>(model.sense(r)) + 1);
+    for (const LpEntry& entry : model.row_entries(r)) {
+      if (fixed[static_cast<std::size_t>(entry.column)]) continue;
+      // Commutative combine (+) so entry order never matters; exactness
+      // is restored by the full comparison below.
+      h += mix64(static_cast<std::uint64_t>(
+                     static_cast<std::uint32_t>(entry.column)) ^
+                 (value_bits(entry.value) * 0x9e3779b97f4a7c15ULL));
+    }
+    row_hashes.emplace_back(h, r);
+  }
+  std::sort(row_hashes.begin(), row_hashes.end());
+
+  using ExactKey = std::vector<std::pair<int, std::uint64_t>>;
+  // Leading (-1, sense) pseudo-entry keeps sense inside the one key.
+  const auto build_key = [&](int r, ExactKey& key) {
+    key.clear();
+    key.emplace_back(-1, static_cast<std::uint64_t>(model.sense(r)));
+    for (const LpEntry& entry : model.row_entries(r)) {
+      if (fixed[static_cast<std::size_t>(entry.column)]) continue;
+      key.emplace_back(entry.column, value_bits(entry.value));
+    }
+    std::sort(key.begin() + 1, key.end());
+  };
+  ExactKey key_scratch;
+  std::vector<std::pair<ExactKey, int>> group;  // distinct key -> survivor
+  for (std::size_t i = 0; i < row_hashes.size();) {
+    std::size_t j = i + 1;
+    while (j < row_hashes.size() &&
+           row_hashes[j].first == row_hashes[i].first) {
+      ++j;
+    }
+    if (j - i > 1) {
+      // Rows in a group arrive in ascending row order (pair sort), so
+      // the survivor logic matches the old in-order map walk exactly.
+      group.clear();
+      for (std::size_t g = i; g < j; ++g) {
+        const int r = row_hashes[g].second;
+        build_key(r, key_scratch);
+        bool matched = false;
+        for (auto& [key, survivor] : group) {
+          if (key != key_scratch) continue;  // hash collision
+          matched = true;
+          const int prior = survivor;
+          const double b_prior = adjusted_rhs(prior);
+          const double b_r = adjusted_rhs(r);
+          int drop = r;
+          switch (model.sense(r)) {
+            case RowSense::kLe:  // smaller rhs binds
+              if (b_r < b_prior) drop = prior;
+              break;
+            case RowSense::kGe:  // larger rhs binds
+              if (b_r > b_prior) drop = prior;
+              break;
+            case RowSense::kEq:
+              if (std::fabs(b_r - b_prior) > tol) {
+                summary.infeasible = true;
+                return out;
+              }
+              break;
           }
-          if (!matched) group.emplace_back(key_scratch, r);
+          dropped[static_cast<std::size_t>(drop)] = 1;
+          ++summary.rows_dropped;
+          if (drop == prior) survivor = r;
+          break;
         }
+        if (!matched) group.emplace_back(key_scratch, r);
       }
-      i = j;
     }
+    i = j;
   }
 
   // --- identity fast path ------------------------------------------------
@@ -268,13 +283,14 @@ PresolvedLp presolve_lp(const LpModel& model, const SimplexOptions& options) {
   return out;
 }
 
-/// The engine's entire mutable state: constraint matrix, eta files, and
-/// every per-solve work vector. Hosted either inside one RevisedSimplex
-/// (cold path) or inside a caller-held SimplexWorkspace, in which case the
+namespace {
+
+/// The engine's buffers: constraint matrix, eta files, and every per-solve
+/// work vector. One lives per thread (thread_engine_state()), so the
 /// buffers keep their capacity from solve to solve. build() re-assigns or
 /// clears every field, so stale contents from a previous solve can never
 /// leak into the next one.
-struct SimplexWorkspace::Impl {
+struct EngineState {
   CscMatrix matrix;
   EtaFile etas;
   std::vector<double> b;
@@ -302,13 +318,12 @@ struct SimplexWorkspace::Impl {
   std::vector<int> rf_col_queue;
   std::vector<int> rf_kernel;
   std::vector<std::pair<int, double>> rf_spill;
-  std::vector<int> initial_basis;
   // Counting-sort scratch for build()'s row-major -> CSC transpose.
   std::vector<int> bk_count;
   std::vector<std::size_t> bk_pos;
   std::vector<int> rf_heap;  ///< pending-eta heap for ftran_indexed
-  /// True once a solve has run in this arena; the next solve in it counts
-  /// as a workspace reuse (trace key `workspace.reused`).
+  /// True once a solve has run in this arena; every later solve on the
+  /// thread counts as a workspace reuse (trace key `workspace.reused`).
   bool used_before = false;
 
   /// Total capacity held across every buffer. The per-solve growth
@@ -337,15 +352,21 @@ struct SimplexWorkspace::Impl {
            chars(rf_slot_done) + ints(rf_eta_of_row) + ints(rf_row_count) +
            ints(rf_col_count) + sizes(rf_row_start) + sizes(rf_row_fill) +
            ints(rf_row_slot) + ints(rf_row_queue) + ints(rf_col_queue) +
-           ints(rf_kernel) + pairs(rf_spill) + ints(initial_basis) +
-           ints(bk_count) + sizes(bk_pos) + ints(rf_heap);
+           ints(rf_kernel) + pairs(rf_spill) + ints(bk_count) + sizes(bk_pos) +
+           ints(rf_heap);
   }
 };
 
-SimplexWorkspace::SimplexWorkspace() : impl_(std::make_unique<Impl>()) {}
-SimplexWorkspace::~SimplexWorkspace() = default;
-
-namespace {
+/// The per-thread arena: every thread that solves LPs — each BatchRunner /
+/// SolveService worker, each pipeline's calling thread — keeps one, so a
+/// sequence of solves stops churning the heap with no call-site opt-in.
+/// Safe because solve_lp never nests on one thread (the engine does not
+/// call back into solve_lp), and a thread_local is exclusive to its thread
+/// by construction. A solve on a new thread starts from an empty arena.
+EngineState& thread_engine_state() {
+  static thread_local EngineState state;
+  return state;
+}
 
 /// One revised-simplex solve over a presolved model (every rhs >= 0).
 class RevisedSimplex {
@@ -354,41 +375,37 @@ class RevisedSimplex {
       : options_(options),
         poller_(options.limits, /*stride=*/32),
         num_structural_(model.num_variables()),
-        scratch_(options.workspace ? &options.workspace->impl()
-                                   : &local_scratch_),
-        matrix_(scratch_->matrix),
-        etas_(scratch_->etas),
-        b_(scratch_->b),
-        basic_values_(scratch_->basic_values),
-        costs1_(scratch_->costs1),
-        costs2_(scratch_->costs2),
-        duals_(scratch_->duals),
-        work_(scratch_->work),
-        touched_(scratch_->touched),
-        entering_(scratch_->entering),
-        basis_(scratch_->basis),
-        in_basis_(scratch_->in_basis),
-        candidates_(scratch_->candidates),
-        fresh_(scratch_->fresh),
-        rf_new_basis_(scratch_->rf_new_basis),
-        rf_row_pivoted_(scratch_->rf_row_pivoted),
-        rf_slot_done_(scratch_->rf_slot_done),
-        rf_eta_of_row_(scratch_->rf_eta_of_row),
-        rf_row_count_(scratch_->rf_row_count),
-        rf_col_count_(scratch_->rf_col_count),
-        rf_row_start_(scratch_->rf_row_start),
-        rf_row_fill_(scratch_->rf_row_fill),
-        rf_row_slot_(scratch_->rf_row_slot),
-        rf_row_queue_(scratch_->rf_row_queue),
-        rf_col_queue_(scratch_->rf_col_queue),
-        rf_kernel_(scratch_->rf_kernel),
-        rf_spill_(scratch_->rf_spill),
-        initial_basis_(scratch_->initial_basis) {
-    if (scratch_ != &local_scratch_) {
-      workspace_reused_ = scratch_->used_before;
-      scratch_->used_before = true;
-    }
-    capacity_bytes_before_ = scratch_->capacity_bytes();
+        state_(thread_engine_state()),
+        matrix_(state_.matrix),
+        etas_(state_.etas),
+        b_(state_.b),
+        basic_values_(state_.basic_values),
+        costs1_(state_.costs1),
+        costs2_(state_.costs2),
+        duals_(state_.duals),
+        work_(state_.work),
+        touched_(state_.touched),
+        entering_(state_.entering),
+        basis_(state_.basis),
+        in_basis_(state_.in_basis),
+        candidates_(state_.candidates),
+        fresh_(state_.fresh),
+        rf_new_basis_(state_.rf_new_basis),
+        rf_row_pivoted_(state_.rf_row_pivoted),
+        rf_slot_done_(state_.rf_slot_done),
+        rf_eta_of_row_(state_.rf_eta_of_row),
+        rf_row_count_(state_.rf_row_count),
+        rf_col_count_(state_.rf_col_count),
+        rf_row_start_(state_.rf_row_start),
+        rf_row_fill_(state_.rf_row_fill),
+        rf_row_slot_(state_.rf_row_slot),
+        rf_row_queue_(state_.rf_row_queue),
+        rf_col_queue_(state_.rf_col_queue),
+        rf_kernel_(state_.rf_kernel),
+        rf_spill_(state_.rf_spill),
+        workspace_reused_(state_.used_before) {
+    state_.used_before = true;
+    capacity_bytes_before_ = state_.capacity_bytes();
     build(model);
   }
 
@@ -407,19 +424,8 @@ class RevisedSimplex {
     trace_set(options_.trace, "revised.columns", total_cols_);
     trace_set(options_.trace, "revised.nnz",
               static_cast<std::int64_t>(matrix_.num_nonzeros()));
-    // ---- Warm start: adopt the caller's basis when it checks out. ----
-    bool warm = false;
-    if (options_.warm_start && options_.warm_start->valid) {
-      trace_add(options_.trace, "warmstart.offered");
-      warm = try_warm_start(*options_.warm_start);
-      trace_add(options_.trace,
-                warm ? "warmstart.accepted" : "warmstart.rejected");
-    }
-    solution.warm_started = warm;
     // ---- Phase 1: minimize the sum of artificial variables. ----
-    // A successfully installed warm basis is artificial-free and primal
-    // feasible, so Phase 1 (and the expel pass) has nothing to do.
-    if (num_artificial_ > 0 && !warm) {
+    if (num_artificial_ > 0) {
       TraceSpan span(options_.trace, "phase1");
       const RunResult phase1 = run(costs1_, /*allow_artificial_entering=*/true,
                                    solution.phase1_pivots);
@@ -433,7 +439,7 @@ class RevisedSimplex {
         return solution;
       }
       refresh_basic_values();
-      if (phase1_infeasibility() > options_.feasibility_tol) {
+      if (phase1_infeasibility() > kLpFeasibilityTol) {
         solution.status = LpStatus::kInfeasible;
         return solution;
       }
@@ -467,7 +473,6 @@ class RevisedSimplex {
       }
     }
     solution.objective = basis_objective(costs2_);
-    export_warm_start();
     return solution;
   }
 
@@ -480,7 +485,7 @@ class RevisedSimplex {
   }
 
   void build(const LpModel& model) {
-    // A reused workspace arrives with the previous solve's matrix and eta
+    // The thread's arena arrives with the previous solve's matrix and eta
     // file; drop the contents, keep the capacity.
     matrix_.clear();
     etas_.clear();
@@ -504,8 +509,8 @@ class RevisedSimplex {
     // ascending either way (the outer loop visits rows in order), and no
     // per-column heap blocks are allocated (the bucket transpose this
     // replaces built one std::vector per structural column every solve).
-    std::vector<int>& bk_count = scratch_->bk_count;
-    std::vector<std::size_t>& bk_pos = scratch_->bk_pos;
+    std::vector<int>& bk_count = state_.bk_count;
+    std::vector<std::size_t>& bk_pos = state_.bk_pos;
     bk_count.assign(static_cast<std::size_t>(num_structural_), 0);
     std::size_t nonzeros = 0;
     for (int r = 0; r < rows_; ++r) {
@@ -570,71 +575,6 @@ class RevisedSimplex {
     }
   }
 
-  /// Tries to install `warm` as the starting basis. Acceptance requires, in
-  /// order: a matching (rows, cols) shape signature, only structural/slack
-  /// columns (see WarmStart), no duplicates, a clean refactorization (the
-  /// basis is nonsingular under *this* model's coefficients), and primal
-  /// feasibility of B^{-1} b under this model's rhs. Any failure restores
-  /// the cold identity basis and returns false — the solve then proceeds
-  /// exactly as if no warm start had been offered.
-  bool try_warm_start(const WarmStart& warm) {
-    if (warm.rows != rows_ || warm.cols != total_cols_) return false;
-    if (static_cast<int>(warm.basis.size()) != rows_) return false;
-    for (const int col : warm.basis) {
-      if (col < 0 || col >= artificial_base_) return false;
-    }
-    initial_basis_ = basis_;
-    basis_ = warm.basis;
-    std::fill(in_basis_.begin(), in_basis_.end(), char{0});
-    for (const int col : basis_) {
-      if (in_basis_[static_cast<std::size_t>(col)]) {  // duplicate column
-        restore_cold_basis();
-        return false;
-      }
-      in_basis_[static_cast<std::size_t>(col)] = 1;
-    }
-    const std::int64_t failures_before = refactor_failures_;
-    refactorize();
-    if (refactor_failures_ != failures_before) {  // numerically singular
-      restore_cold_basis();
-      return false;
-    }
-    // refactorize() left basic_values_ = B^{-1} b for the warm basis.
-    for (const double value : basic_values_) {
-      if (value < -options_.feasibility_tol) {  // not feasible under this rhs
-        restore_cold_basis();
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Undoes a failed warm-start installation: identity basis, empty eta
-  /// file, basic values = b (exactly the state build() left behind).
-  void restore_cold_basis() {
-    basis_ = initial_basis_;
-    etas_.clear();
-    etas_since_refactor_ = 0;
-    std::fill(in_basis_.begin(), in_basis_.end(), char{0});
-    for (const int col : basis_) in_basis_[static_cast<std::size_t>(col)] = 1;
-    basic_values_ = b_;
-  }
-
-  /// Writes the optimal basis back into the caller's WarmStart slot. Bases
-  /// that kept a redundant-row artificial are not exported (see WarmStart);
-  /// the slot's previous contents stay as they were.
-  void export_warm_start() {
-    WarmStart* warm = options_.warm_start;
-    if (!warm) return;
-    for (const int col : basis_) {
-      if (col >= artificial_base_) return;
-    }
-    warm->valid = true;
-    warm->rows = rows_;
-    warm->cols = total_cols_;
-    warm->basis = basis_;
-  }
-
   /// One simplex phase over the given cost vector.
   RunResult run(const std::vector<double>& costs, bool allow_artificial_entering,
                 std::int64_t& pivot_count) {
@@ -658,7 +598,7 @@ class RevisedSimplex {
       if (leaving < 0) return RunResult::kUnbounded;
       objective += entering_cost * pivot(leaving, entering);
       ++pivot_count;
-      if (etas_since_refactor_ >= options_.refactor_interval) refactorize();
+      if (etas_since_refactor_ >= kRefactorInterval) refactorize();
       if (objective < last_objective - 1e-12) {
         stall = 0;
         last_objective = objective;
@@ -695,12 +635,12 @@ class RevisedSimplex {
   int price_partial(const std::vector<double>& costs, bool allow_artificial) {
     const int limit = allow_artificial ? total_cols_ : artificial_base_;
     int best = -1;
-    double best_cost = -options_.reduced_cost_tol;
+    double best_cost = -kLpReducedCostTol;
     std::size_t kept = 0;
     for (const int c : candidates_) {
       if (c >= limit || in_basis_[static_cast<std::size_t>(c)]) continue;
       const double reduced = reduced_cost(costs, c);
-      if (reduced >= -options_.reduced_cost_tol) continue;
+      if (reduced >= -kLpReducedCostTol) continue;
       candidates_[kept++] = c;
       if (reduced < best_cost) {
         best_cost = reduced;
@@ -709,7 +649,6 @@ class RevisedSimplex {
     }
     candidates_.resize(kept);
 
-    const int section = std::max(1, options_.pricing_section);
     const auto is_basic = [this](int c) {
       return in_basis_[static_cast<std::size_t>(c)] != 0;
     };
@@ -719,15 +658,15 @@ class RevisedSimplex {
       // One contiguous slice of the cyclic sweep (sections straddling the
       // wrap split in two, so each slice is a single sequential scan).
       const int lo = cursor_;
-      const int hi = std::min(lo + std::min(section, limit - scanned), limit);
+      const int hi =
+          std::min(lo + std::min(kPricingSection, limit - scanned), limit);
       matrix_.dot_range(lo, hi, duals_, is_basic, [&](int c, double dot) {
         const double reduced = costs[static_cast<std::size_t>(c)] - dot;
-        if (reduced < -options_.reduced_cost_tol) {
-          // The list caps at pricing_candidates (it only feeds the next
+        if (reduced < -kLpReducedCostTol) {
+          // The list caps at kPricingCandidates (it only feeds the next
           // iteration's re-pricing); the entering column is tracked
           // separately, so a capped column can still enter now.
-          if (static_cast<int>(candidates_.size()) <
-              options_.pricing_candidates) {
+          if (static_cast<int>(candidates_.size()) < kPricingCandidates) {
             candidates_.push_back(c);
           }
           if (reduced < best_cost) {
@@ -738,7 +677,7 @@ class RevisedSimplex {
       });
       cursor_ = hi >= limit ? 0 : hi;
       scanned += hi - lo;
-      ++pricing_sections_;
+      ++sections_priced_;
       // Stop as soon as something is attractive; insisting on a full
       // candidate list makes near-optimal iterations (few attractive
       // columns left anywhere) degenerate into full sweeps. An empty sweep
@@ -753,7 +692,7 @@ class RevisedSimplex {
     const int limit = allow_artificial ? total_cols_ : artificial_base_;
     for (int c = 0; c < limit; ++c) {
       if (in_basis_[static_cast<std::size_t>(c)]) continue;
-      if (reduced_cost(costs, c) < -options_.reduced_cost_tol) return c;
+      if (reduced_cost(costs, c) < -kLpReducedCostTol) return c;
     }
     return -1;
   }
@@ -785,7 +724,7 @@ class RevisedSimplex {
     int best = -1;
     double best_ratio = std::numeric_limits<double>::infinity();
     for (const auto& [r, coef] : entering_) {
-      if (coef <= options_.pivot_tol) continue;
+      if (coef <= kLpPivotTol) continue;
       const double ratio = basic_values_[static_cast<std::size_t>(r)] / coef;
       if (ratio < best_ratio - 1e-12) {
         best_ratio = ratio;
@@ -912,9 +851,9 @@ class RevisedSimplex {
         if (work_[row] == 0.0) touched_.push_back(matrix_.row(k));
         work_[row] += matrix_.value(k);
       }
-      fresh_.ftran_indexed(work_, touched_, rf_eta_of_row_, scratch_->rf_heap);
+      fresh_.ftran_indexed(work_, touched_, rf_eta_of_row_, state_.rf_heap);
       const double pivot_value = work_[static_cast<std::size_t>(r)];
-      const bool ok = std::fabs(pivot_value) > options_.pivot_tol;
+      const bool ok = std::fabs(pivot_value) > kLpPivotTol;
       rf_spill_.clear();
       for (const int row : touched_) {
         const double value = work_[static_cast<std::size_t>(row)];
@@ -1014,7 +953,7 @@ class RevisedSimplex {
           if (work_[row] == 0.0) touched_.push_back(matrix_.row(k));
           work_[row] += matrix_.value(k);
         }
-        fresh_.ftran_indexed(work_, touched_, rf_eta_of_row_, scratch_->rf_heap);
+        fresh_.ftran_indexed(work_, touched_, rf_eta_of_row_, state_.rf_heap);
         int pivot_row = -1;
         double best = 0.0;
         for (const int row : touched_) {
@@ -1026,7 +965,7 @@ class RevisedSimplex {
             pivot_row = row;
           }
         }
-        if (pivot_row < 0 || best <= options_.pivot_tol) {
+        if (pivot_row < 0 || best <= kLpPivotTol) {
           for (const int row : touched_) {
             work_[static_cast<std::size_t>(row)] = 0.0;
           }
@@ -1091,7 +1030,7 @@ class RevisedSimplex {
       duals_[static_cast<std::size_t>(r)] = 1.0;
       etas_.btran(duals_);
       int pivot_col = -1;
-      double best = options_.pivot_tol;
+      double best = kLpPivotTol;
       for (int c = 0; c < artificial_base_; ++c) {
         if (in_basis_[static_cast<std::size_t>(c)]) continue;
         const double magnitude = std::fabs(matrix_.dot(c, duals_));
@@ -1104,7 +1043,7 @@ class RevisedSimplex {
       load_column(pivot_col);
       pivot(r, pivot_col);
       ++expel_pivots;
-      if (etas_since_refactor_ >= options_.refactor_interval) refactorize();
+      if (etas_since_refactor_ >= kRefactorInterval) refactorize();
     }
   }
 
@@ -1114,8 +1053,8 @@ class RevisedSimplex {
   /// gauges (eta.peak, eta.nnz, refactor.bump.peak) are added too, which
   /// matches absorb()'s documented sum-of-peaks semantics.
   void record_work(const LpSolution& solution) {
-    // Drain the kernel tallies even untraced: they live in the (reusable)
-    // workspace and would otherwise leak into the next traced solve.
+    // Drain the kernel tallies even untraced: they live in the thread's
+    // arena and would otherwise leak into the next traced solve.
     const KernelStats eta_stats = etas_.take_stats();
     const KernelStats fresh_stats = fresh_.take_stats();
     const KernelStats pricing = matrix_.take_stats();
@@ -1130,10 +1069,10 @@ class RevisedSimplex {
     trace->add("refactor.bump.peak", bump_peak_);
     trace->add("eta.peak", eta_peak_);
     trace->add("eta.nnz", static_cast<std::int64_t>(etas_.num_nonzeros()));
-    trace->add("pricing.sections", pricing_sections_);
+    trace->add("pricing.sections", sections_priced_);
     trace->add("workspace.reused", workspace_reused_ ? 1 : 0);
     trace->add("workspace.grown",
-               scratch_->capacity_bytes() > capacity_bytes_before_ ? 1 : 0);
+               state_.capacity_bytes() > capacity_bytes_before_ ? 1 : 0);
     trace->add("solves");
     trace->add("eta.applied", eta_stats.fired + fresh_stats.fired);
     trace->add("eta.entries", eta_stats.entries + fresh_stats.entries);
@@ -1149,12 +1088,9 @@ class RevisedSimplex {
   int num_artificial_ = 0;
   int rows_ = 0;
   int total_cols_ = 0;
-  // Engine state lives in a SimplexWorkspace::Impl — the caller's when
-  // SimplexOptions::workspace is set (buffer reuse across a solve
-  // sequence), this engine's own otherwise. The references below keep the
+  // The buffers live in the thread's arena; the references below keep the
   // algorithm body oblivious to where the storage lives.
-  SimplexWorkspace::Impl local_scratch_;
-  SimplexWorkspace::Impl* scratch_;
+  EngineState& state_;
   CscMatrix& matrix_;
   EtaFile& etas_;
   std::vector<double>& b_;
@@ -1185,33 +1121,17 @@ class RevisedSimplex {
   std::vector<int>& rf_col_queue_;
   std::vector<int>& rf_kernel_;
   std::vector<std::pair<int, double>>& rf_spill_;
-  /// build()'s identity basis, saved by try_warm_start for the fallback.
-  std::vector<int>& initial_basis_;
   int cursor_ = 0;
   int etas_since_refactor_ = 0;
-  bool workspace_reused_ = false;
+  bool workspace_reused_;
   std::size_t capacity_bytes_before_ = 0;
   std::int64_t bland_activations_ = 0;
   std::int64_t refactor_count_ = 0;
   std::int64_t refactor_failures_ = 0;
   std::int64_t bump_peak_ = 0;
   std::int64_t eta_peak_ = 0;
-  std::int64_t pricing_sections_ = 0;
+  std::int64_t sections_priced_ = 0;
 };
-
-/// The per-thread default arena: workspace reuse is the default, not a
-/// per-call-site opt-in. Every thread that solves LPs — each BatchRunner /
-/// SolveService worker, each pipeline's calling thread — keeps one warm
-/// workspace, so a sequence of solves stops churning the heap with no API
-/// changes at any call site. Safe because solve_lp never nests on
-/// one thread (the engine does not call back into solve_lp), and a
-/// thread_local is exclusive to its thread by construction. Callers that
-/// need a genuinely cold solve (tests, allocation baselines) pass their
-/// own fresh workspace via SimplexOptions::workspace, which always wins.
-SimplexWorkspace& thread_default_workspace() {
-  static thread_local SimplexWorkspace workspace;
-  return workspace;
-}
 
 }  // namespace
 
@@ -1237,13 +1157,11 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options) {
                           : LpStatus::kDeadlineExceeded;
     return solution;
   }
-  SimplexOptions opts = options;
-  if (!opts.workspace) opts.workspace = &thread_default_workspace();
-  PresolvedLp presolved = presolve_lp(model, opts);
-  trace_set(opts.trace, "presolve.rows.dropped",
+  PresolvedLp presolved = presolve_lp(model);
+  trace_set(options.trace, "presolve.rows.dropped",
             presolved.summary.rows_dropped);
-  trace_set(opts.trace, "presolve.cols.fixed", presolved.summary.cols_fixed);
-  trace_set(opts.trace, "presolve.rows.normalized",
+  trace_set(options.trace, "presolve.cols.fixed", presolved.summary.cols_fixed);
+  trace_set(options.trace, "presolve.rows.normalized",
             presolved.summary.rows_normalized);
   if (presolved.summary.infeasible) {
     solution.status = LpStatus::kInfeasible;
@@ -1252,7 +1170,7 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options) {
   // On the identity fast path the reduced model was never built: solve the
   // original directly, and skip the value remap / objective offset (both
   // are identity transforms by construction).
-  RevisedSimplex engine(presolved.identity ? model : presolved.model, opts);
+  RevisedSimplex engine(presolved.identity ? model : presolved.model, options);
   solution = engine.solve();
   if (solution.status == LpStatus::kOptimal &&
       presolved.summary.unbounded_if_feasible) {

@@ -24,53 +24,16 @@
 //
 // Semantics (statuses, tolerances, Bland fallback, iteration limits) match
 // the dense tableau, which tests and benches keep as the differential
-// oracle. solve_lp (simplex.hpp) runs this engine.
+// oracle. solve_lp (simplex.hpp) runs this engine; the refactorization
+// interval and the pricing section and candidate sizes are tuned constants
+// in revised_simplex.cpp.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "lp/simplex.hpp"
 
 namespace calisched {
-
-/// A starting basis carried between structurally-similar solves (in/out
-/// via SimplexOptions::warm_start). The basis is expressed over the
-/// *presolved* model's engine columns; `rows`/`cols` form the shape
-/// signature a candidate model must match before installation is even
-/// attempted. Exported bases never contain artificial columns (a redundant
-/// row's harmlessly-basic artificial under one rhs could go positive under
-/// another), so a solve whose optimal basis kept one leaves the previous
-/// contents untouched. A rejected or mismatched warm start costs one basis
-/// refactorization at most; correctness never depends on acceptance.
-struct WarmStart {
-  bool valid = false;
-  int rows = 0;            ///< presolved row count at export time
-  int cols = 0;            ///< engine columns: structural + slack + artificial
-  std::vector<int> basis;  ///< basic engine column per presolved row
-};
-
-/// Opaque scratch arena for the revised engine: constraint matrix, eta
-/// files, and every per-solve work vector live here, so a caller looping
-/// over a family of similar LPs (the per-interval start-time LPs, repeated
-/// TISE relaxations) can hand the same workspace to each solve and stop
-/// paying the allocations once the buffers reach the family's working
-/// size. Exclusively owned by one solve at a time — never share a
-/// workspace between concurrent solves. Solves are bit-identical with or
-/// without a workspace.
-class SimplexWorkspace {
- public:
-  SimplexWorkspace();
-  ~SimplexWorkspace();
-  SimplexWorkspace(const SimplexWorkspace&) = delete;
-  SimplexWorkspace& operator=(const SimplexWorkspace&) = delete;
-
-  struct Impl;
-  [[nodiscard]] Impl& impl() noexcept { return *impl_; }
-
- private:
-  std::unique_ptr<Impl> impl_;
-};
 
 /// What presolve did to a model; exposed for tests and trace reporting.
 struct PresolveSummary {
@@ -99,10 +62,9 @@ struct PresolvedLp {
   bool identity = false;
 };
 
-/// Runs the presolve reductions (gated by options.presolve; rhs
-/// normalization always happens) and returns the reduced model. When
-/// summary.infeasible is set the model must not be solved.
-[[nodiscard]] PresolvedLp presolve_lp(const LpModel& model,
-                                      const SimplexOptions& options);
+/// Runs the presolve reductions (including rhs normalization) and returns
+/// the reduced model. When summary.infeasible is set the model must not be
+/// solved.
+[[nodiscard]] PresolvedLp presolve_lp(const LpModel& model);
 
 }  // namespace calisched

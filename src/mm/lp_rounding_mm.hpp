@@ -33,8 +33,7 @@ namespace calisched {
 /// exceeds `max_slots` or the solver fails (including a deadline or
 /// cancellation carried in lp.limits). ceil(value) is a certified MM lower
 /// bound, dominating the preemptive bound of mm_lp_bound(). `lp` carries
-/// the tolerances, RunLimits, and (for repeated bound queries) an optional
-/// warm start / workspace for the underlying solve.
+/// the pivot cap and RunLimits for the underlying solve.
 [[nodiscard]] std::optional<double> mm_start_time_lp_bound(
     const Instance& instance, Time max_slots = 2000,
     const SimplexOptions& lp = {});
@@ -45,9 +44,9 @@ class LpRoundingMM final : public MachineMinimizer {
     std::uint64_t seed = 0x5eedULL;
     int samples = 32;      ///< random rounding attempts (plus one arg-max)
     Time max_slots = 2000; ///< horizon cap; beyond it, fall back to greedy
-    /// Simplex configuration for the start-time LP (tolerances, warm
-    /// start / workspace). The RunLimits handed to minimize() replace
-    /// lp.limits for that call, so a deadline always reaches the solver.
+    /// Simplex options for the start-time LP (pivot cap). The RunLimits
+    /// handed to minimize() replace lp.limits for that call, so a deadline
+    /// always reaches the solver.
     SimplexOptions lp;
   };
 
@@ -62,8 +61,8 @@ class LpRoundingMM final : public MachineMinimizer {
   /// Threads the caller's trace into the start-time LP solve (as an "lp"
   /// child context), on top of the per-call limits override. The options_
   /// copy is the only SimplexOptions this box ever constructs — every
-  /// other knob (tolerances, warm start, workspace) flows through
-  /// from the caller-supplied Options::lp untouched.
+  /// other field (pivot cap, Bland threshold) flows through from the
+  /// caller-supplied Options::lp untouched.
   [[nodiscard]] MMResult minimize_traced(const Instance& instance,
                                          const RunLimits& limits,
                                          TraceContext* trace) const override;

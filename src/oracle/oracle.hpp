@@ -28,10 +28,10 @@
 namespace calisched::oracle {
 
 /// Solves min c'x s.t. model rows, x >= 0 with the dense two-phase tableau.
-/// Same statuses, tolerances, Bland fallback, pivot limit and RunLimits
-/// polling as solve_lp; ignores the revised-engine fields (presolve,
-/// refactorization, pricing, warm_start, workspace). Phase spans and the
-/// `pivots.*` / `tableau.*` counters go to `options.trace`.
+/// Same statuses, tolerances (kLp*Tol), Bland fallback, pivot limit and
+/// RunLimits polling as solve_lp; it honours every SimplexOptions field.
+/// Phase spans and the `pivots.*` / `tableau.*` counters go to
+/// `options.trace`.
 [[nodiscard]] LpSolution solve_lp_dense(const LpModel& model,
                                         const SimplexOptions& options = {});
 

@@ -29,6 +29,16 @@ std::string cache_key(const ServiceRequest& request, std::uint64_t hash) {
          std::to_string(request.node_budget);
 }
 
+/// Fits a cached outcome to the request it now answers. Instances that
+/// differ only in an implicit vs explicit unit(T) table share one entry by
+/// design (canonical_instance_hash), so the entry's schedule carries the
+/// first requester's table; the response must carry this request's, or
+/// its calibration shape ([m,s] vs [m,s,type]) would depend on cache
+/// history.
+void serve_cached(SolveOutcome& outcome, const ServiceRequest& request) {
+  outcome.schedule.cal = request.instance.cal;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Pending --
@@ -135,6 +145,7 @@ SolveService::PendingPtr SolveService::submit(const ServiceRequest& request) {
   {
     SolveOutcome cached;
     if (cache_.get(hash, key, &cached)) {
+      serve_cached(cached, request);
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       completed_.fetch_add(1, std::memory_order_relaxed);
       record_completion(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -185,6 +196,7 @@ void SolveService::execute(const std::shared_ptr<Pending>& pending,
   SolveOutcome outcome;
   const bool hit = cache_.get(hash, key, &outcome);
   if (hit) {
+    serve_cached(outcome, request);
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
   } else {
     cache_misses_.fetch_add(1, std::memory_order_relaxed);

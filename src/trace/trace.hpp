@@ -9,11 +9,12 @@
 //
 // The trace is also the only place solver work is counted: the revised
 // simplex adds its per-solve tallies (`solves`, `pivots.*`,
-// `refactor.count`, `eta.applied`, `eta.entries`, `pricing.*`,
-// `workspace.reused`, `workspace.grown`) and the state-space explorers
-// their `state_space.*` counters to the context they are handed, once per
-// solve, with add semantics — so one context shared by N sequential
-// solves sums their work, exactly as absorb() sums N scratch contexts.
+// `refactor.count`, `eta.applied`, `eta.entries`, `pricing.*`, and
+// `workspace.reused` / `workspace.grown` for its per-thread buffer arena)
+// and the state-space explorers their `state_space.*` counters to the
+// context they are handed, once per solve, with add semantics — so one
+// context shared by N sequential solves sums their work, exactly as
+// absorb() sums N scratch contexts.
 // Benches and tests read solver work from a trace they pass in.
 //
 // Naming scheme (see DESIGN.md "Telemetry & tracing"):
@@ -24,10 +25,8 @@
 //     repeated spans with one name aggregate (total_ns + count).
 //
 // Thread-safety: a TraceContext is NOT internally synchronized. The
-// pipelines only mutate their context from the solve's calling thread
-// (the simplex's parallel row elimination happens *inside* a pivot, while
-// counters are touched once per pivot on the caller); concurrent solves
-// must each own a separate context, which is how the bench harness and the
+// pipelines only mutate their context from the solve's calling thread;
+// concurrent solves must each own a separate context, which is how the bench harness and the
 // batch tests use them. Fan-out stages that *do* record from worker
 // threads (the parallel short-window interval solve) follow the
 // thread-local-child contract instead: each worker records into a scratch

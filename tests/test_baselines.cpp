@@ -47,6 +47,80 @@ TEST(CalibrationBounds, EmptyInstance) {
   EXPECT_EQ(calibration_lower_bound(instance), 0);
 }
 
+TEST(CalibrationBounds, PinnedValuesAcrossGeneratorFamilies) {
+  // Byte-identity gate for any rewrite of the two bounds: the integers were
+  // captured from the window-enumeration implementation, over every
+  // generate_family family x 4 seeds (n = 30..120, 1..3 machines, sparse
+  // and dense horizons). The benchmark's `calibrations_ratio` divides by
+  // the CLI's "(lower bound N)", so a faster bound must reproduce them all.
+  struct Pinned {
+    const char* family;
+    int seed;
+    std::int64_t windowed;
+    std::int64_t lower;
+  };
+  constexpr Pinned kPinned[] = {
+      {"mixed", 1, 19, 19},
+      {"mixed", 2, 35, 35},
+      {"mixed", 3, 51, 51},
+      {"mixed", 4, 61, 61},
+      {"long", 1, 20, 20},
+      {"long", 2, 33, 33},
+      {"long", 3, 47, 47},
+      {"long", 4, 62, 62},
+      {"short", 1, 22, 22},
+      {"short", 2, 33, 33},
+      {"short", 3, 52, 52},
+      {"short", 4, 62, 62},
+      {"unit", 1, 11, 11},
+      {"unit", 2, 9, 9},
+      {"unit", 3, 33, 33},
+      {"unit", 4, 19, 19},
+      {"clustered", 1, 19, 19},
+      {"clustered", 2, 35, 35},
+      {"clustered", 3, 50, 50},
+      {"clustered", 4, 62, 62},
+      {"calib-cheap-short", 1, 22, 22},
+      {"calib-cheap-short", 2, 33, 33},
+      {"calib-cheap-short", 3, 52, 52},
+      {"calib-cheap-short", 4, 62, 62},
+      {"calib-expensive-long", 1, 22, 22},
+      {"calib-expensive-long", 2, 33, 33},
+      {"calib-expensive-long", 3, 52, 52},
+      {"calib-expensive-long", 4, 62, 62},
+      {"calib-delayed", 1, 22, 22},
+      {"calib-delayed", 2, 33, 33},
+      {"calib-delayed", 3, 52, 52},
+      {"calib-delayed", 4, 62, 62},
+      {"online-poisson", 1, 20, 20},
+      {"online-poisson", 2, 33, 33},
+      {"online-poisson", 3, 58, 58},
+      {"online-poisson", 4, 67, 67},
+      {"online-burst", 1, 18, 18},
+      {"online-burst", 2, 36, 36},
+      {"online-burst", 3, 51, 51},
+      {"online-burst", 4, 62, 62},
+      {"online-drip", 1, 17, 17},
+      {"online-drip", 2, 34, 34},
+      {"online-drip", 3, 51, 51},
+      {"online-drip", 4, 62, 62},
+  };
+  for (const Pinned& row : kPinned) {
+    GenParams params;
+    params.seed = static_cast<std::uint64_t>(row.seed);
+    params.n = 30 * row.seed;
+    params.T = 10;
+    params.machines = 1 + row.seed % 3;
+    params.horizon = (row.seed % 2 == 1 ? 10 : 3) * params.n;
+    params.max_proc = params.T;
+    const Instance instance = generate_family(row.family, params);
+    EXPECT_EQ(calibration_windowed_bound(instance), row.windowed)
+        << row.family << " seed " << row.seed;
+    EXPECT_EQ(calibration_lower_bound(instance), row.lower)
+        << row.family << " seed " << row.seed;
+  }
+}
+
 TEST(IseLpBound, SingleJobCostsOneCalibration) {
   Instance instance;
   instance.machines = 1;

@@ -20,7 +20,7 @@
 #include "longwin/rounding.hpp"
 #include "longwin/speed_transform.hpp"
 #include "longwin/trim_transform.hpp"
-#include "lp/revised_simplex.hpp"
+#include "lp/simplex.hpp"
 #include "trace/trace.hpp"
 #include "verify/verify.hpp"
 
@@ -260,22 +260,6 @@ TEST(TiseLpDecomposition, RepeatedSolvesAreByteIdentical) {
   ASSERT_NE(second_json.find("counters"), nullptr);
   EXPECT_EQ(first_json.find("counters")->dump(),
             second_json.find("counters")->dump());
-}
-
-TEST(TiseLpDecomposition, WarmStartOnlyForASingleBlock) {
-  WarmStart warm;
-  SimplexOptions options;
-  options.warm_start = &warm;
-  const TiseFractional split = solve_tise_lp(two_component_instance(), 3, options);
-  ASSERT_EQ(split.status, LpStatus::kOptimal);
-  EXPECT_FALSE(warm.valid);  // blocks cold-start; the slot stays as it was
-
-  Instance single = two_component_instance();
-  single.jobs.resize(1);
-  const TiseFractional one = solve_tise_lp(single, 3, options);
-  ASSERT_EQ(one.status, LpStatus::kOptimal);
-  EXPECT_EQ(one.components, 1);
-  EXPECT_TRUE(warm.valid);  // the unsplit path exports its basis
 }
 
 TEST(LongPipeline, TraceReportsTheLpSplit) {

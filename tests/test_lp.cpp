@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lp/revised_simplex.hpp"
@@ -25,6 +26,16 @@ struct LpSolver {
 
 constexpr LpSolver kBothEngines[] = {{"dense", &oracle::solve_lp_dense},
                                      {"revised", &solve_lp}};
+
+/// solve_lp on a new thread, whose engine arena starts empty: the way to
+/// get a cold solve, since every thread reuses one arena across its solves.
+LpSolution solve_on_fresh_thread(const LpModel& model,
+                                 const SimplexOptions& options = {}) {
+  LpSolution solution;
+  std::thread worker([&] { solution = solve_lp(model, options); });
+  worker.join();
+  return solution;
+}
 
 TEST(Simplex, SolvesTextbookMaximization) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  =>  opt 36 at (2, 6).
@@ -312,7 +323,7 @@ TEST(Presolve, DropsEmptyAndDuplicateRows) {
     model.add_coefficient(row, x, 1.0);
     model.add_coefficient(row, y, 1.0);
   }
-  const PresolvedLp presolved = presolve_lp(model, SimplexOptions{});
+  const PresolvedLp presolved = presolve_lp(model);
   EXPECT_FALSE(presolved.summary.infeasible);
   // The empty row and the looser duplicate (rhs 4) both go; the binding
   // copy (rhs 3) survives.
@@ -331,7 +342,7 @@ TEST(Presolve, FixesSingletonEqualityChains) {
   row = model.add_row("sum", RowSense::kEq, 5.0);
   model.add_coefficient(row, x, 1.0);
   model.add_coefficient(row, y, 1.0);
-  const PresolvedLp presolved = presolve_lp(model, SimplexOptions{});
+  const PresolvedLp presolved = presolve_lp(model);
   EXPECT_FALSE(presolved.summary.infeasible);
   EXPECT_EQ(presolved.summary.cols_fixed, 2);
   EXPECT_EQ(presolved.summary.rows_dropped, 2);
@@ -357,7 +368,7 @@ TEST(Presolve, DetectsInfeasibilityFromEmptyAndConflictingRows) {
   model.add_coefficient(row, x, 1.0);
   row = model.add_row("cap", RowSense::kLe, 0.0);
   model.add_coefficient(row, x, 1.0);
-  const PresolvedLp presolved = presolve_lp(model, SimplexOptions{});
+  const PresolvedLp presolved = presolve_lp(model);
   EXPECT_TRUE(presolved.summary.infeasible);
   EXPECT_EQ(solve_lp(model).status, LpStatus::kInfeasible);
 }
@@ -370,7 +381,7 @@ TEST(Presolve, EmptyColumnWithNegativeCostFlagsUnbounded) {
   model.add_variable("y", -1.0);
   const int row = model.add_row("cap", RowSense::kLe, 4.0);
   model.add_coefficient(row, x, 1.0);
-  const PresolvedLp presolved = presolve_lp(model, SimplexOptions{});
+  const PresolvedLp presolved = presolve_lp(model);
   EXPECT_TRUE(presolved.summary.unbounded_if_feasible);
   EXPECT_EQ(solve_lp(model).status, LpStatus::kUnbounded);
 }
@@ -381,7 +392,7 @@ TEST(Presolve, NormalizesNegativeRhs) {
   const int x = model.add_variable("x", 1.0);
   const int row = model.add_row("neg", RowSense::kLe, -3.0);
   model.add_coefficient(row, x, -1.0);
-  const PresolvedLp presolved = presolve_lp(model, SimplexOptions{});
+  const PresolvedLp presolved = presolve_lp(model);
   EXPECT_EQ(presolved.summary.rows_normalized, 1);
   ASSERT_EQ(presolved.model.num_rows(), 1);
   EXPECT_NEAR(presolved.model.rhs(0), 3.0, 1e-12);
@@ -431,125 +442,19 @@ LpModel make_random_bounded_program(Rng& rng) {
   return model;
 }
 
-TEST(Simplex, WarmStartSkipsPhase1OnResolveAndAgreesWithDense) {
-  Rng rng(777);
-  for (int trial = 0; trial < 20; ++trial) {
-    const LpModel model = make_random_bounded_program(rng);
-    const LpSolution dense = oracle::solve_lp_dense(model);
-
-    WarmStart warm;
-    SimplexWorkspace workspace;
-    SimplexOptions options;
-    options.warm_start = &warm;
-    options.workspace = &workspace;
-    const LpSolution cold = solve_lp(model, options);
-    ASSERT_EQ(cold.status, dense.status) << "trial " << trial;
-    EXPECT_FALSE(cold.warm_started) << "trial " << trial;
-    if (cold.status != LpStatus::kOptimal) continue;
-    ASSERT_TRUE(warm.valid) << "trial " << trial;
-
-    // Re-solving the same model with the exported basis must skip Phase 1
-    // (and the artificial expulsion) entirely and land on the same optimum.
-    const LpSolution resolved = solve_lp(model, options);
-    ASSERT_EQ(resolved.status, LpStatus::kOptimal) << "trial " << trial;
-    EXPECT_TRUE(resolved.warm_started) << "trial " << trial;
-    EXPECT_EQ(resolved.phase1_pivots, 0) << "trial " << trial;
-    EXPECT_EQ(resolved.expel_pivots, 0) << "trial " << trial;
-    EXPECT_NEAR(resolved.objective, dense.objective, 1e-6) << "trial " << trial;
-    EXPECT_LE(model.max_violation(resolved.values), 1e-6) << "trial " << trial;
-  }
-}
-
-TEST(Simplex, WarmChainedRhsSweepMatchesDenseOracle) {
-  // The mm-feasibility use case: one LP shape re-solved while a capacity
-  // rhs tightens step by step (the m'-descending TISE sweep). Chaining one
-  // WarmStart + SimplexWorkspace through the sweep must agree with the
-  // dense oracle at every step, whether a given basis transfers or not.
-  WarmStart warm;
-  SimplexWorkspace workspace;
-  int accepted = 0;
-  for (int capacity = 12; capacity >= 4; --capacity) {
-    LpModel model;
-    std::vector<int> vars;
-    for (int v = 0; v < 5; ++v) {
-      vars.push_back(
-          model.add_variable("x" + std::to_string(v), -(1.0 + 0.3 * v)));
-    }
-    const int shared =
-        model.add_row("capacity", RowSense::kLe, static_cast<double>(capacity));
-    for (int v = 0; v < 5; ++v) {
-      model.add_coefficient(shared, vars[static_cast<std::size_t>(v)], 1.0);
-      const int cap = model.add_row("cap" + std::to_string(v), RowSense::kLe,
-                                    3.0 + v);
-      model.add_coefficient(cap, vars[static_cast<std::size_t>(v)], 1.0);
-    }
-    const int floor_row = model.add_row("floor", RowSense::kGe, 1.0);
-    model.add_coefficient(floor_row, vars[0], 1.0);
-    model.add_coefficient(floor_row, vars[1], 1.0);
-
-    const LpSolution dense = oracle::solve_lp_dense(model);
-    SimplexOptions options;
-    options.warm_start = &warm;
-    options.workspace = &workspace;
-    const LpSolution solved = solve_lp(model, options);
-    ASSERT_EQ(solved.status, LpStatus::kOptimal) << "capacity " << capacity;
-    ASSERT_EQ(dense.status, LpStatus::kOptimal) << "capacity " << capacity;
-    EXPECT_NEAR(solved.objective, dense.objective, 1e-6)
-        << "capacity " << capacity;
-    if (solved.warm_started) {
-      ++accepted;
-      EXPECT_EQ(solved.phase1_pivots, 0) << "capacity " << capacity;
-    }
-  }
-  // The basis transfers across at least some of the gentle rhs steps.
-  EXPECT_GE(accepted, 1);
-}
-
-TEST(Simplex, CorruptWarmStartIsRejectedAndSolveStaysCorrect) {
-  Rng rng(31337);
-  const LpModel model = make_random_bounded_program(rng);
-  const LpSolution dense = oracle::solve_lp_dense(model);
-  ASSERT_EQ(dense.status, LpStatus::kOptimal);
-
-  WarmStart warm;
-  SimplexOptions options;
-  options.warm_start = &warm;
-  ASSERT_EQ(solve_lp(model, options).status, LpStatus::kOptimal);
-  ASSERT_TRUE(warm.valid);
-  ASSERT_GE(warm.basis.size(), 2u);
-
-  // A duplicated basis column can never factorize; the engine must fall
-  // back to the cold path and still reach the oracle's optimum.
-  std::fill(warm.basis.begin(), warm.basis.end(), warm.basis[0]);
-  const LpSolution solved = solve_lp(model, options);
-  ASSERT_EQ(solved.status, LpStatus::kOptimal);
-  EXPECT_FALSE(solved.warm_started);
-  EXPECT_NEAR(solved.objective, dense.objective, 1e-6);
-  // The corrupt basis was replaced by a freshly exported usable one.
-  EXPECT_TRUE(warm.valid);
-  const LpSolution resolved = solve_lp(model, options);
-  EXPECT_TRUE(resolved.warm_started);
-  EXPECT_NEAR(resolved.objective, dense.objective, 1e-6);
-}
-
 TEST(Simplex, WarmWorkspaceSolvesAreBitIdenticalToCold) {
-  // Stronger than the tolerance-based reuse test below: the options doc
-  // promises results are *bit-identical* whichever workspace a solve runs
-  // in. Solve each program cold (fresh arena) and warm (one arena already
-  // grown by earlier, differently-shaped programs) and require the exact
-  // same bytes — values, objective, and pivot counts. Any kernel that
-  // read stale arena state would show up here as a ULP-level diff.
+  // Stronger than the tolerance-based reuse test below: solve_lp promises
+  // results are *bit-identical* whichever arena a solve runs in. Solve
+  // each program cold (on a fresh thread, whose arena is empty) and warm
+  // (on this thread, whose arena earlier, differently-shaped programs have
+  // grown) and require the exact same bytes — values, objective, and pivot
+  // counts. Any kernel that read stale arena state would show up here as a
+  // ULP-level diff.
   Rng rng(90210);
-  SimplexWorkspace warm_arena;
   for (int trial = 0; trial < 12; ++trial) {
     const LpModel model = make_random_bounded_program(rng);
-    SimplexOptions cold_options;
-    SimplexWorkspace cold_arena;
-    cold_options.workspace = &cold_arena;
-    SimplexOptions warm_options;
-    warm_options.workspace = &warm_arena;
-    const LpSolution cold = solve_lp(model, cold_options);
-    const LpSolution warm = solve_lp(model, warm_options);
+    const LpSolution cold = solve_on_fresh_thread(model);
+    const LpSolution warm = solve_lp(model);
     ASSERT_EQ(cold.status, warm.status) << "trial " << trial;
     EXPECT_EQ(cold.objective, warm.objective) << "trial " << trial;
     EXPECT_EQ(cold.phase1_pivots, warm.phase1_pivots) << "trial " << trial;
@@ -565,21 +470,26 @@ TEST(Simplex, WarmWorkspaceSolvesAreBitIdenticalToCold) {
 
 TEST(Simplex, PerfCountersProveWarmArenaStopsAllocating) {
   // The allocation story the ASan CI job asserts via bench_pivot_kernels,
-  // pinned at unit level: re-solving one model in one arena must count a
-  // workspace reuse per solve and zero buffer growths after the first.
+  // pinned at unit level: on a fresh thread the first solve grows the
+  // empty arena, and every re-solve of the same model counts a reuse and
+  // zero buffer growths.
   Rng rng(1029);
   const LpModel model = make_random_bounded_program(rng);
-  SimplexWorkspace arena;
-  SimplexOptions options;
-  options.workspace = &arena;
-  ASSERT_EQ(solve_lp(model, options).status, LpStatus::kOptimal);  // warmup
-
-  TraceContext trace("simplex");
-  options.trace = &trace;
   constexpr int kReps = 4;
-  for (int rep = 0; rep < kReps; ++rep) {
+  TraceContext warmup("simplex");
+  TraceContext trace("simplex");
+  std::thread worker([&] {
+    SimplexOptions options;
+    options.trace = &warmup;
     ASSERT_EQ(solve_lp(model, options).status, LpStatus::kOptimal);
-  }
+    options.trace = &trace;
+    for (int rep = 0; rep < kReps; ++rep) {
+      ASSERT_EQ(solve_lp(model, options).status, LpStatus::kOptimal);
+    }
+  });
+  worker.join();
+  EXPECT_EQ(warmup.counter("workspace.reused"), 0);
+  EXPECT_EQ(warmup.counter("workspace.grown"), 1);
   EXPECT_EQ(trace.counter("solves"), kReps);
   EXPECT_EQ(trace.counter("workspace.reused"), kReps);
   EXPECT_EQ(trace.counter("workspace.grown"), 0);
@@ -596,11 +506,11 @@ TEST(Simplex, SharedTraceSumsSequentialSolves) {
   const LpModel first = make_random_bounded_program(rng);
   const LpModel second = make_random_bounded_program(rng);
   const auto solve_into = [](const LpModel& model, TraceContext& trace) {
-    SimplexWorkspace arena;  // cold arena per solve: identical work each time
     SimplexOptions options;
-    options.workspace = &arena;
     options.trace = &trace;
-    ASSERT_EQ(solve_lp(model, options).status, LpStatus::kOptimal);
+    // Cold arena per solve (fresh thread): identical work each time.
+    ASSERT_EQ(solve_on_fresh_thread(model, options).status,
+              LpStatus::kOptimal);
   };
   TraceContext shared("simplex");
   TraceContext alone_first("simplex");
@@ -622,23 +532,34 @@ TEST(Simplex, SharedTraceSumsSequentialSolves) {
 }
 
 TEST(Simplex, WorkspaceReuseAcrossShapesMatchesFreshSolves) {
-  // One workspace carried across programs of different sizes must behave
-  // exactly like a fresh engine every time (build() resets all state), down
-  // to identical pivot counts — the engine is deterministic.
+  // One arena carried across programs of different sizes (all solved on
+  // one worker thread, which starts cold) must behave exactly like a fresh
+  // engine every time (build() resets all state), down to identical pivot
+  // counts — the engine is deterministic.
   Rng rng(4242);
-  SimplexWorkspace workspace;
+  std::vector<LpModel> models;
   for (int trial = 0; trial < 12; ++trial) {
-    const LpModel model = make_random_bounded_program(rng);
-    SimplexOptions reused;
-    reused.workspace = &workspace;
-    const LpSolution fresh = solve_lp(model);
-    const LpSolution shared = solve_lp(model, reused);
-    ASSERT_EQ(fresh.status, shared.status) << "trial " << trial;
+    models.push_back(make_random_bounded_program(rng));
+  }
+  std::vector<LpSolution> shared(models.size());
+  std::thread worker([&] {
+    for (std::size_t i = 0; i < models.size(); ++i) {
+      shared[i] = solve_lp(models[i]);
+    }
+  });
+  worker.join();
+  for (std::size_t trial = 0; trial < models.size(); ++trial) {
+    const LpSolution fresh = solve_on_fresh_thread(models[trial]);
+    ASSERT_EQ(fresh.status, shared[trial].status) << "trial " << trial;
     if (fresh.status != LpStatus::kOptimal) continue;
-    EXPECT_NEAR(fresh.objective, shared.objective, 1e-9) << "trial " << trial;
-    EXPECT_EQ(fresh.phase1_pivots, shared.phase1_pivots) << "trial " << trial;
-    EXPECT_EQ(fresh.phase2_pivots, shared.phase2_pivots) << "trial " << trial;
-    EXPECT_EQ(fresh.expel_pivots, shared.expel_pivots) << "trial " << trial;
+    EXPECT_NEAR(fresh.objective, shared[trial].objective, 1e-9)
+        << "trial " << trial;
+    EXPECT_EQ(fresh.phase1_pivots, shared[trial].phase1_pivots)
+        << "trial " << trial;
+    EXPECT_EQ(fresh.phase2_pivots, shared[trial].phase2_pivots)
+        << "trial " << trial;
+    EXPECT_EQ(fresh.expel_pivots, shared[trial].expel_pivots)
+        << "trial " << trial;
   }
 }
 

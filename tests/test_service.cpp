@@ -258,6 +258,18 @@ TEST(SolveService, CalibrationModelDiscriminatesCacheEntries) {
       service.submit(solve_request(instance, "dp-calib-cost"))->wait();
   EXPECT_EQ(explicit_unit.total_cost, implicit_unit.total_cost);
   EXPECT_EQ(service.stats().cache_hits, 1);
+  // The hit answers with this request's own table, so its schedule (the
+  // [machine,start,type] calibration shape included) is what an uncached
+  // service returns for the same request, not the first requester's.
+  ServiceOptions uncached_options;
+  uncached_options.threads = 1;
+  uncached_options.cache_capacity = 0;
+  SolveService uncached(AlgorithmRegistry::builtin(), uncached_options);
+  const SolveOutcome explicit_uncached =
+      uncached.submit(solve_request(instance, "dp-calib-cost"))->wait();
+  ASSERT_TRUE(explicit_uncached.feasible) << explicit_uncached.error;
+  EXPECT_EQ(schedule_to_json(explicit_unit.schedule).dump(),
+            schedule_to_json(explicit_uncached.schedule).dump());
 
   // Tripling the type cost is a different instance (cache miss), and the
   // exact DP's optimum simply scales: same calibrations, triple the cost.
