@@ -5,9 +5,10 @@
 // throughput, and the byte-identity of the timing-free JSONL output. The
 // acceptance bar is >= 3x throughput at 8 threads over 1 thread on >= 200
 // mixed instances with byte-identical records — but scaling is only
-// measurable when the machine has cores to scale onto, so the speedup
-// check is gated on hardware_concurrency >= 4 (the determinism check runs
-// everywhere).
+// measurable when the process has CPUs to scale onto, so the speedup
+// check is gated on >= 4 CPUs in the process's affinity mask (the
+// determinism check runs everywhere). The host's parallel capacity,
+// measured at start, is recorded beside the verdict.
 #include <chrono>
 #include <memory>
 #include <sstream>
@@ -53,6 +54,7 @@ std::unique_ptr<TraceContext> traced_batch_work(
 int main(int argc, char** argv) {
   BenchHarness bench("E13", "batch-solve throughput across worker threads",
                      argc, argv);
+  const BenchHarness::CpuCapacity cpus = bench.cpu_capacity();
 
   BatchSpec spec;
   spec.family = "mixed";
@@ -70,7 +72,6 @@ int main(int argc, char** argv) {
   const Algorithm* combined = AlgorithmRegistry::builtin().find("combined");
   const BatchRunner runner(*combined);
 
-  const unsigned cores = std::thread::hardware_concurrency();
   Table& table = bench.table(
       "throughput",
       {"threads", "instances", "solved", "wall-ms", "inst-per-s", "speedup"});
@@ -129,27 +130,31 @@ int main(int argc, char** argv) {
   }
   bench.print_table("throughput",
                     "combined solver, " + std::to_string(spec.count) +
-                        " mixed instances (n=12, T=10, m=2), hardware cores: " +
-                        std::to_string(cores));
+                        " mixed instances (n=12, T=10, m=2), usable CPUs: " +
+                        std::to_string(cpus.usable_cpus) +
+                        ", parallel capacity: " +
+                        format_double(cpus.parallel_capacity, 2));
   bench.print_table("lp_counters",
                     "LP work per batch (counts deterministic; ws_reuse/"
                     "buf_growth depend on worker count, so only t1 gates)");
 
   const double speedup = eight_ms > 0.0 ? single_ms / eight_ms : 0.0;
   bench.metric("speedup_8_threads", speedup);
-  bench.metric("hardware_cores", static_cast<double>(cores));
   bench.check("all instances solved", all_solved);
   bench.check("jsonl byte-identical across thread counts", all_identical);
-  if (cores >= 4) {
+  if (cpus.usable_cpus >= 4) {
     bench.check("8-thread throughput >= 3x single-thread", speedup >= 3.0);
   }
   bench.note(
       "timing-free JSONL is byte-identical at every thread count — each task "
       "owns its instance, seed, and record slot, so scheduling order cannot "
       "leak into the output. 8-thread speedup on this machine: " +
-      format_double(speedup, 2) + "x (" + std::to_string(cores) +
-      " hardware cores; the >= 3x bar applies on machines with >= 4 cores, "
-      "where per-instance solves are independent and embarrassingly "
-      "parallel).");
+      format_double(speedup, 2) + "x (" + std::to_string(cpus.usable_cpus) +
+      " usable CPUs, parallel capacity " +
+      format_double(cpus.parallel_capacity, 2) +
+      "; the >= 3x bar applies with >= 4 usable CPUs, where per-instance "
+      "solves are independent and embarrassingly parallel, and a capacity "
+      "well under 4 means the host, not the solver, held the speedup "
+      "down).");
   return bench.finish();
 }

@@ -12,6 +12,11 @@
 // (blocks, pivots, calibrations) are gated metrics; every row must be
 // verifier-clean and satisfy the Theorem 12 chain.
 //
+// The lower-bound rows time calibration_windowed_bound (the denominator of
+// the CLI's realized ratio) on the CLI's `short` and `mixed` families at
+// horizon 10n. The bound's integer is gated for exact equality
+// ("windowed_bound_*"); its wall time is advisory.
+//
 // Timing protocol: each configuration is solved once to pick a repetition
 // count that fits a ~300 ms budget, then re-run best-of-reps on the steady
 // clock. Best-of (not mean) is the standard estimator for a quiet machine;
@@ -23,6 +28,7 @@
 #include <string>
 
 #include "baselines/baseline.hpp"
+#include "baselines/calibration_bounds.hpp"
 #include "gen/generators.hpp"
 #include "harness.hpp"
 #include "longwin/long_pipeline.hpp"
@@ -311,6 +317,35 @@ int main(int argc, char** argv) {
     single_block = end_to_end("long_dense_n200", generate_long_window(params)) == 1;
   }
 
+  // --- lower bound: calibration_windowed_bound on the CLI's families -----
+  Table& bound_table = bench.table(
+      "lower_bound", {"instance", "n", "reps", "best-ms", "bound", "work-bound"});
+  struct BoundRow {
+    const char* family;
+    int n;
+  };
+  bool bounds_sound = true;
+  for (const BoundRow& row : {BoundRow{"short", 400}, BoundRow{"short", 800},
+                              BoundRow{"short", 1600}, BoundRow{"mixed", 400},
+                              BoundRow{"mixed", 1600}}) {
+    GenParams params = scaling_params(row.n, 1);
+    params.horizon = 10 * static_cast<Time>(row.n);
+    const Instance instance = generate_family(row.family, params);
+    std::int64_t bound = 0;
+    const Timing timing = measure([&] {
+      bound = calibration_windowed_bound(instance);
+      g_sink = static_cast<double>(bound);
+    });
+    const std::int64_t work = calibration_work_bound(instance);
+    bounds_sound = bounds_sound && bound >= work;
+    const std::string label =
+        std::string(row.family) + "_n" + std::to_string(row.n);
+    bound_table.row().cell(label).cell(row.n).cell(timing.reps)
+        .cell(timing.best_ms, 3).cell(bound).cell(work);
+    bench.metric("windowed_bound_" + label, static_cast<double>(bound));
+    bench.metric("windowed_bound_" + label + "_ms", timing.best_ms);
+  }
+
   bench.print_table("scaling",
                     "best-of-reps wall time per component (T=10, m=2)");
   bench.print_table("end_to_end_scaling",
@@ -318,6 +353,9 @@ int main(int argc, char** argv) {
                     "best-of-reps wall time per job");
   bench.print_table("lp_counters",
                     "TISE LP work counters per sweep point (all reps)");
+  bench.print_table("lower_bound",
+                    "calibration_windowed_bound, best-of-reps wall time "
+                    "(CLI families, T=10, m=2, horizon 10n, seed 1)");
   bench.metric("batch32_parallel_items_per_s", parallel_items_per_s);
   bench.metric("batch32_serial_items_per_s", serial_items_per_s);
   bench.metric("batch32_parallel_speedup",
@@ -330,6 +368,9 @@ int main(int argc, char** argv) {
   bench.check("every series recorded", table.row_count() == 28);
   bench.check("every end-to-end row recorded", e2e.row_count() == 11);
   bench.check("dense long instance stays one LP block", single_block);
+  bench.check("every lower-bound row recorded",
+              bound_table.row_count() == 5);
+  bench.check("windowed bound >= work bound", bounds_sound);
   bench.note(
       "The TISE LP dominates long-window cost and the series bounds how "
       "instance size n translates into wall time for each pipeline stage; "

@@ -1,7 +1,14 @@
 #include "harness.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <thread>
+#include <vector>
+
+#include <sched.h>
 
 #include "trace/json.hpp"
 
@@ -41,7 +48,67 @@ void sum_lp_work(const TraceContext& context, LpWork& work) {
   }
   for (const auto& child : context.children()) sum_lp_work(*child, work);
 }
+
+/// CPUs in this process's affinity mask; hardware_concurrency() if the
+/// mask cannot be read. A cpuset that withholds CPUs shows here, while
+/// hardware_concurrency() counts every CPU of the host.
+[[nodiscard]] unsigned usable_cpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return static_cast<unsigned>(std::max(1, CPU_COUNT(&mask)));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// Spinner iterations `threads` CPU-bound threads complete together in a
+/// fixed wall-clock slice.
+[[nodiscard]] std::uint64_t spin_iterations(unsigned threads) {
+  constexpr auto kSlice = std::chrono::milliseconds(100);
+  std::atomic<bool> go{false};
+  std::atomic<std::uint64_t> total{0};
+  std::vector<std::thread> spinners;
+  spinners.reserve(threads);
+  for (unsigned i = 0; i < threads; ++i) {
+    spinners.emplace_back([&, i] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      const auto stop = std::chrono::steady_clock::now() + kSlice;
+      std::uint64_t state = 0x9e3779b97f4a7c15ULL + i;
+      std::uint64_t done = 0;
+      while (std::chrono::steady_clock::now() < stop) {
+        for (int k = 0; k < 4096; ++k) {  // xorshift64: pure ALU work
+          state ^= state << 13;
+          state ^= state >> 7;
+          state ^= state << 17;
+        }
+        done += 4096;
+      }
+      total.fetch_add(done + (state & 1), std::memory_order_relaxed);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& spinner : spinners) spinner.join();
+  return total.load();
+}
 }  // namespace
+
+BenchHarness::CpuCapacity BenchHarness::cpu_capacity() {
+  // At most 64 spinners, whatever the mask says: enough to see any
+  // speedup check's thread count, never a thread storm.
+  constexpr unsigned kMaxSpinners = 64;
+  CpuCapacity capacity;
+  capacity.usable_cpus = usable_cpus();
+  const std::uint64_t one = spin_iterations(1);
+  const std::uint64_t many =
+      spin_iterations(std::min(capacity.usable_cpus, kMaxSpinners));
+  capacity.parallel_capacity =
+      one > 0 ? static_cast<double>(many) / static_cast<double>(one) : 0.0;
+  metric("hardware_cores",
+         static_cast<double>(std::thread::hardware_concurrency()));
+  metric("usable_cpus", static_cast<double>(capacity.usable_cpus));
+  metric("parallel_capacity", capacity.parallel_capacity);
+  return capacity;
+}
 
 BenchHarness::BenchHarness(std::string id, std::string title, int argc,
                            char** argv)

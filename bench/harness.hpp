@@ -81,6 +81,20 @@ class BenchHarness {
   void lp_counters(const std::string& label, const TraceContext& trace,
                    double elapsed_ms, bool record_metrics = true);
 
+  /// The CPUs this process can scale onto, measured now, and recorded as
+  /// the advisory metrics `hardware_cores`, `usable_cpus` and
+  /// `parallel_capacity`. Speedup checks gate on `usable_cpus`; the
+  /// capacity figure sits beside their verdict, so a failure on a
+  /// contended host shows the host's state at the time.
+  struct CpuCapacity {
+    unsigned usable_cpus = 0;  ///< CPUs in this process's affinity mask
+    /// Throughput of `usable_cpus` CPU-bound spinner threads over one
+    /// spinner's: about usable_cpus on a quiet host, near 1 on a host that
+    /// throttles this process to one core.
+    double parallel_capacity = 0.0;
+  };
+  CpuCapacity cpu_capacity();
+
   /// Records a self-check. A failed check prints immediately and makes
   /// finish() return 1.
   void check(const std::string& name, bool ok);

@@ -1,6 +1,7 @@
 #include "baselines/calibration_bounds.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "util/arith.hpp"
@@ -29,14 +30,34 @@ std::int64_t calibration_windowed_bound(const Instance& instance) {
   deadlines.erase(std::unique(deadlines.begin(), deadlines.end()),
                   deadlines.end());
 
+  // W(a, b) = sum{p_j : a <= r_j, d_j <= b} in one sweep: visit releases in
+  // descending order, add each job's work once (when a reaches r_j) at its
+  // deadline's index, and read W(a, b) for every b as a running sum.
+  std::vector<std::size_t> by_release(instance.jobs.size());
+  std::iota(by_release.begin(), by_release.end(), std::size_t{0});
+  std::sort(by_release.begin(), by_release.end(),
+            [&](std::size_t x, std::size_t y) {
+              return instance.jobs[x].release > instance.jobs[y].release;
+            });
+  std::vector<Time> work_due_at(deadlines.size(), 0);
+  std::size_t added = 0;
+
   std::vector<Window> windows;
-  for (const Time a : releases) {
-    for (const Time b : deadlines) {
+  for (auto a_it = releases.rbegin(); a_it != releases.rend(); ++a_it) {
+    const Time a = *a_it;
+    for (; added < by_release.size() &&
+           instance.jobs[by_release[added]].release == a;
+         ++added) {
+      const Job& job = instance.jobs[by_release[added]];
+      const auto at =
+          std::lower_bound(deadlines.begin(), deadlines.end(), job.deadline);
+      work_due_at[static_cast<std::size_t>(at - deadlines.begin())] += job.proc;
+    }
+    Time work = 0;
+    for (std::size_t k = 0; k < deadlines.size(); ++k) {
+      work += work_due_at[k];
+      const Time b = deadlines[k];
       if (b <= a) continue;
-      Time work = 0;
-      for (const Job& job : instance.jobs) {
-        if (a <= job.release && job.deadline <= b) work += job.proc;
-      }
       if (work > 0) windows.push_back({a, b, ceil_div(work, instance.T)});
     }
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
+#include <queue>
 #include <tuple>
 
 namespace calisched {
@@ -42,34 +44,50 @@ EdfAssignResult edf_assign_jobs(const Instance& instance, const Schedule& calend
               return scan_key(a) < scan_key(b);
             });
 
-  std::vector<bool> done(instance.size(), false);
-  std::size_t remaining = instance.size();
+  // The scan's t never decreases, so a job joins the ready heap once, when
+  // t reaches its release, and a job past its TISE start limit (t > d - T)
+  // stays past it: drop it lazily when it reaches the top. The top is then
+  // the earliest-deadline unscheduled job obeying the TISE constraint, ties
+  // broken by job id (the paper: "ties broken arbitrarily"), then by index.
+  const auto& jobs = instance.jobs;
+  std::vector<std::size_t> by_release(jobs.size());
+  std::iota(by_release.begin(), by_release.end(), std::size_t{0});
+  std::sort(by_release.begin(), by_release.end(),
+            [&](std::size_t x, std::size_t y) {
+              return jobs[x].release < jobs[y].release;
+            });
+  const auto later = [&](std::size_t x, std::size_t y) {
+    return std::tuple(jobs[x].deadline, jobs[x].id, x) >
+           std::tuple(jobs[y].deadline, jobs[y].id, y);
+  };
+  std::priority_queue<std::size_t, std::vector<std::size_t>, decltype(later)>
+      ready(later);
+  std::size_t released = 0;
+
+  std::vector<bool> done(jobs.size(), false);
+  std::size_t remaining = jobs.size();
   for (const Calibration& cal : scan) {
     if (remaining == 0) break;
     const Time t = cal.start;
+    for (; released < by_release.size() &&
+           jobs[by_release[released]].release <= t;
+         ++released) {
+      ready.push(by_release[released]);
+    }
     Time used = 0;
-    while (true) {
-      // Earliest-deadline unscheduled job obeying the TISE constraint,
-      // ties broken by job id (the paper: "ties broken arbitrarily").
-      std::size_t chosen = instance.size();
-      for (std::size_t j = 0; j < instance.size(); ++j) {
-        if (done[j]) continue;
-        const Job& job = instance.jobs[j];
-        if (job.release > t || t > job.deadline - instance.T) continue;
-        if (chosen == instance.size() ||
-            job.deadline < instance.jobs[chosen].deadline ||
-            (job.deadline == instance.jobs[chosen].deadline &&
-             job.id < instance.jobs[chosen].id)) {
-          chosen = j;
-        }
+    while (!ready.empty()) {
+      const std::size_t chosen = ready.top();
+      const Job& job = jobs[chosen];
+      if (t > job.deadline - instance.T) {  // expired for good
+        ready.pop();
+        continue;
       }
-      if (chosen == instance.size()) break;  // j == NULL
-      const Job& job = instance.jobs[chosen];
       if (job.proc + used > instance.T) break;  // calibration is full
       schedule.jobs.push_back({job.id, cal.machine, t + used});
       used += job.proc;
       done[chosen] = true;
       --remaining;
+      ready.pop();
     }
   }
 

@@ -8,7 +8,9 @@
 // with the earliest-deadline unscheduled job that obeys the TISE
 // constraint, until the next such job no longer fits (the paper's
 // while-loop stops at the first earliest-deadline job that exceeds the
-// remaining room).
+// remaining room). The scan time never decreases, so eligible jobs wait in
+// a heap keyed on (deadline, id): O((n + C) log n) for n jobs and C
+// calibrations after the O(C log C) scan-order sort.
 #pragma once
 
 #include <vector>

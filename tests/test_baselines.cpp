@@ -1,7 +1,10 @@
 // Tests for the baseline ISE algorithms and the calibration lower bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <vector>
 
 #include "baselines/baseline.hpp"
 #include "baselines/calibration_bounds.hpp"
@@ -9,6 +12,7 @@
 #include "baselines/gap_min.hpp"
 #include "baselines/ise_lp_bound.hpp"
 #include "gen/generators.hpp"
+#include "util/arith.hpp"
 #include "verify/verify.hpp"
 
 namespace calisched {
@@ -119,6 +123,132 @@ TEST(CalibrationBounds, PinnedValuesAcrossGeneratorFamilies) {
     EXPECT_EQ(calibration_lower_bound(instance), row.lower)
         << row.family << " seed " << row.seed;
   }
+}
+
+// The window-enumeration bound as first written: one scan of all n jobs
+// per (release, deadline) pair, O(R*D*n). Kept as the differential oracle
+// for the sweep in calibration_windowed_bound.
+std::int64_t reference_windowed_bound(const Instance& instance) {
+  if (instance.empty()) return 0;
+  struct Window {
+    Time a, b;
+    std::int64_t value;
+  };
+  std::vector<Time> releases, deadlines;
+  for (const Job& job : instance.jobs) {
+    releases.push_back(job.release);
+    deadlines.push_back(job.deadline);
+  }
+  std::sort(releases.begin(), releases.end());
+  releases.erase(std::unique(releases.begin(), releases.end()), releases.end());
+  std::sort(deadlines.begin(), deadlines.end());
+  deadlines.erase(std::unique(deadlines.begin(), deadlines.end()),
+                  deadlines.end());
+
+  std::vector<Window> windows;
+  for (const Time a : releases) {
+    for (const Time b : deadlines) {
+      if (b <= a) continue;
+      Time work = 0;
+      for (const Job& job : instance.jobs) {
+        if (a <= job.release && job.deadline <= b) work += job.proc;
+      }
+      if (work > 0) windows.push_back({a, b, ceil_div(work, instance.T)});
+    }
+  }
+  if (windows.empty()) return 0;
+
+  std::sort(windows.begin(), windows.end(),
+            [](const Window& x, const Window& y) { return x.b < y.b; });
+  const std::size_t count = windows.size();
+  std::vector<std::int64_t> best(count + 1, 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Time cutoff = windows[i].a - instance.T;
+    std::size_t lo = 0, hi = i;
+    while (lo < hi) {
+      const std::size_t mid = (lo + hi) / 2;
+      if (windows[mid].b <= cutoff) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    best[i + 1] = std::max(best[i], best[lo] + windows[i].value);
+  }
+  return best[count];
+}
+
+TEST(CalibrationBounds, SweepMatchesReferenceAcrossGeneratorFamilies) {
+  constexpr const char* kFamilies[] = {
+      "mixed", "long", "short", "unit", "clustered", "calib-cheap-short",
+      "calib-expensive-long", "calib-delayed", "online-poisson",
+      "online-burst", "online-drip"};
+  for (const char* family : kFamilies) {
+    for (int seed = 1; seed <= 4; ++seed) {
+      GenParams params;
+      params.seed = static_cast<std::uint64_t>(seed);
+      params.n = 200;
+      params.T = 10;
+      params.machines = 1 + seed % 3;
+      params.horizon = (seed % 2 == 1 ? 10 : 3) * params.n;
+      params.max_proc = params.T;
+      const Instance instance = generate_family(family, params);
+      EXPECT_EQ(calibration_windowed_bound(instance),
+                reference_windowed_bound(instance))
+          << family << " seed " << seed;
+    }
+  }
+}
+
+TEST(CalibrationBounds, SweepMatchesReferenceOnBenchmarkShapes) {
+  // One seed of each benchmark workload's instance shape, with the CLI's
+  // generator defaults (T = 10, 2 machines).
+  struct Shape {
+    const char* family;
+    int n;
+    Time horizon;
+  };
+  for (const Shape& shape : {Shape{"short", 800, 8000},
+                             Shape{"mixed", 400, 4000}}) {
+    GenParams params;
+    params.seed = 1001;
+    params.n = shape.n;
+    params.horizon = shape.horizon;
+    const Instance instance = generate_family(shape.family, params);
+    EXPECT_EQ(calibration_windowed_bound(instance),
+              reference_windowed_bound(instance))
+        << shape.family << " n " << shape.n;
+  }
+}
+
+TEST(CalibrationBounds, SweepMatchesReferenceOnHandCases) {
+  const auto make = [](Time T, std::vector<Job> jobs) {
+    Instance instance;
+    instance.machines = 1;
+    instance.T = T;
+    instance.jobs = std::move(jobs);
+    return instance;
+  };
+  const Instance cases[] = {
+      // Repeated releases and repeated deadlines.
+      make(10, {{0, 0, 20, 9}, {1, 0, 20, 8}, {2, 0, 35, 7}, {3, 15, 35, 9},
+                {4, 15, 50, 6}, {5, 40, 50, 10}}),
+      // A release equal to another job's deadline.
+      make(10, {{0, 0, 12, 10}, {1, 12, 24, 10}, {2, 24, 36, 10},
+                {3, 12, 40, 5}}),
+      // Every job in one window.
+      make(10, {{0, 5, 30, 4}, {1, 5, 30, 9}, {2, 5, 30, 10}, {3, 5, 30, 2}}),
+      // T larger than every window: no two windows are separated by T.
+      make(1000, {{0, 0, 3, 2}, {1, 10, 14, 3}, {2, 50, 60, 7},
+                  {3, 200, 205, 1}}),
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    EXPECT_EQ(calibration_windowed_bound(cases[i]),
+              reference_windowed_bound(cases[i]))
+        << "case " << i;
+  }
+  EXPECT_EQ(calibration_windowed_bound(cases[2]), 3);  // ceil(25/10)
+  EXPECT_EQ(calibration_windowed_bound(cases[3]), 1);
 }
 
 TEST(IseLpBound, SingleJobCostsOneCalibration) {

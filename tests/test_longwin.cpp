@@ -4,10 +4,13 @@
 // speed transform, and the full Theorem 12 / Theorem 14 pipelines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "gen/generators.hpp"
 #include "util/rng.hpp"
@@ -385,6 +388,125 @@ TEST(EdfAssign, AssignsEveryJobOnPipelineCalendars) {
     const VerifyResult check = verify_tise(instance, assigned.schedule);
     EXPECT_TRUE(check.ok()) << "seed " << seed << "\n" << check.to_string();
   }
+}
+
+// Algorithm 2 as first written: for every placement, scan all n jobs for
+// the earliest-deadline eligible one, O((n + C) * n). Kept as the
+// differential oracle for the heap in edf_assign_jobs.
+EdfAssignResult reference_edf_assign(const Instance& instance,
+                                     const Schedule& calendar, bool mirror) {
+  EdfAssignResult result;
+  Schedule& schedule = result.schedule;
+  schedule = Schedule::empty_like(
+      instance, mirror ? calendar.machines * 2 : calendar.machines);
+  for (const Calibration& cal : calendar.calibrations) {
+    schedule.calibrations.push_back(cal);
+    if (mirror) {
+      schedule.calibrations.push_back(
+          {cal.machine + calendar.machines, cal.start});
+    }
+  }
+  const int originals = calendar.machines;
+  const auto scan_key = [originals](const Calibration& cal) {
+    const bool mirrored = cal.machine >= originals;
+    const int original = mirrored ? cal.machine - originals : cal.machine;
+    return std::tuple(cal.start, original, mirrored);
+  };
+  std::vector<Calibration> scan = schedule.calibrations;
+  std::sort(scan.begin(), scan.end(),
+            [&](const Calibration& a, const Calibration& b) {
+              return scan_key(a) < scan_key(b);
+            });
+
+  std::vector<bool> done(instance.size(), false);
+  std::size_t remaining = instance.size();
+  for (const Calibration& cal : scan) {
+    if (remaining == 0) break;
+    const Time t = cal.start;
+    Time used = 0;
+    while (true) {
+      std::size_t chosen = instance.size();
+      for (std::size_t j = 0; j < instance.size(); ++j) {
+        if (done[j]) continue;
+        const Job& job = instance.jobs[j];
+        if (job.release > t || t > job.deadline - instance.T) continue;
+        if (chosen == instance.size() ||
+            job.deadline < instance.jobs[chosen].deadline ||
+            (job.deadline == instance.jobs[chosen].deadline &&
+             job.id < instance.jobs[chosen].id)) {
+          chosen = j;
+        }
+      }
+      if (chosen == instance.size()) break;
+      const Job& job = instance.jobs[chosen];
+      if (job.proc + used > instance.T) break;
+      schedule.jobs.push_back({job.id, cal.machine, t + used});
+      used += job.proc;
+      done[chosen] = true;
+      --remaining;
+    }
+  }
+  for (std::size_t j = 0; j < instance.size(); ++j) {
+    if (!done[j]) result.unassigned.push_back(instance.jobs[j].id);
+  }
+  return result;
+}
+
+Schedule pipeline_calendar(const Instance& instance) {
+  const int m_prime = 3 * instance.machines;
+  const TiseFractional lp = solve_tise_lp(instance, m_prime);
+  EXPECT_EQ(lp.status, LpStatus::kOptimal);
+  const auto starts = round_calibrations(lp.points, lp.calibration_mass);
+  return assign_round_robin(instance, starts, 3 * m_prime);
+}
+
+void expect_edf_matches_reference(const Instance& instance,
+                                  const Schedule& calendar,
+                                  const std::string& label) {
+  for (const bool mirror : {true, false}) {
+    const EdfAssignResult heap = edf_assign_jobs(instance, calendar, mirror);
+    const EdfAssignResult scan =
+        reference_edf_assign(instance, calendar, mirror);
+    EXPECT_EQ(heap.schedule.machines, scan.schedule.machines) << label;
+    EXPECT_EQ(heap.schedule.calibrations, scan.schedule.calibrations) << label;
+    EXPECT_EQ(heap.schedule.jobs, scan.schedule.jobs)
+        << label << " mirror " << mirror;
+    EXPECT_EQ(heap.unassigned, scan.unassigned)
+        << label << " mirror " << mirror;
+  }
+}
+
+TEST(EdfAssign, HeapMatchesReferenceScanOnLemma10Seeds) {
+  for (const int n : {12, 20}) {
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      const Instance instance = generate_long_window(long_params(seed, n));
+      const Schedule calendar = pipeline_calendar(instance);
+      const std::string label =
+          "n " + std::to_string(n) + " seed " + std::to_string(seed);
+      expect_edf_matches_reference(instance, calendar, label);
+
+      // Every other calibration dropped: full calibrations, expired jobs
+      // and unassigned leftovers on both paths.
+      Schedule sparse = calendar;
+      sparse.calibrations.clear();
+      for (std::size_t k = 0; k < calendar.calibrations.size(); k += 2) {
+        sparse.calibrations.push_back(calendar.calibrations[k]);
+      }
+      expect_edf_matches_reference(instance, sparse, label + " sparse");
+    }
+  }
+}
+
+TEST(EdfAssign, HeapMatchesReferenceScanOnMixed1600) {
+  GenParams params;
+  params.seed = 1;
+  params.n = 1600;
+  params.horizon = 16000;
+  const Instance instance =
+      split_by_window(generate_family("mixed", params)).long_jobs;
+  ASSERT_FALSE(instance.empty());
+  expect_edf_matches_reference(instance, pipeline_calendar(instance),
+                               "mixed n 1600");
 }
 
 TEST(FractionalEdf, CompleteOnPipelineCalendars) {

@@ -21,10 +21,15 @@ covers the "metrics" and "checks" dicts:
     does not disappear, so a zero means the counting stopped — e.g. a
     solve path that no longer forwards its trace. Refresh the baseline if
     the work really is gone.
+  * An exact metric (name starting "windowed_bound_": a lower bound's
+    integer on a fixed generated instance) that changes at all, in either
+    direction, is a FAILURE. The value is a pure function of the instance,
+    so any drift means the bound's code changed its answer.
   * Timing-flavoured metrics (names mentioning ns/ms/wall/time/speed/
-    throughput) and machine facts (hardware_cores) are ADVISORY only: they
-    are printed when they move but never gate the exit code, because the
-    committed baselines come from whatever container happened to run them.
+    throughput) and machine facts (hardware_cores, usable_cpus,
+    parallel_capacity) are ADVISORY only: they are printed when they move
+    but never gate the exit code, because the committed baselines come
+    from whatever container happened to run them.
   * Rate metrics (names ending "_per_s" or "/s" and their "_sec" variants)
     are ADVISORY for the same reason: a rate is a deterministic count
     divided by this machine's wall clock. Gate on the count, not the rate.
@@ -52,7 +57,8 @@ import sys
 # match whole name parts only ("ns" must not fire on "instances").
 TIMING_PARTS = ("ns", "ms", "us", "s")
 TIMING_SUBSTRINGS = ("wall", "time", "speed", "throughput")
-ADVISORY_NAMES = {"hardware_cores", "elapsed_ns"}
+ADVISORY_NAMES = {"hardware_cores", "usable_cpus", "parallel_capacity",
+                  "elapsed_ns"}
 # "reuse": workspace-reuse hit counts — fewer warm arrivals is the
 # regression, so the direction flips like the other higher-is-better names.
 # "certified": exact-engine certified-size frontiers — a shrink means the
@@ -63,6 +69,9 @@ HIGHER_IS_BETTER_FRAGMENTS = ("reduction", "speedup", "accepted", "solved",
 # Exact-search size counters: lower is better, but engine tweaks move them
 # wildly (a new dominance rule can cut states 10x), so they never gate.
 SEARCH_SIZE_FRAGMENTS = ("states", "nodes", "dominated", "merged", "pruned")
+
+# Deterministic answers gated for exact equality (timing names excepted).
+EXACT_PREFIXES = ("windowed_bound_",)
 
 # Per-second rates. "pivots_per_s" also happens to match TIMING_PARTS via
 # its trailing "s" part, but the slash spellings ("etas/s") do not split on
@@ -94,6 +103,10 @@ def is_search_size(name: str) -> bool:
         return False
     lowered = name.lower()
     return any(fragment in lowered for fragment in SEARCH_SIZE_FRAGMENTS)
+
+
+def is_exact(name: str) -> bool:
+    return name.startswith(EXACT_PREFIXES) and not is_timing(name)
 
 
 def higher_is_better(name: str) -> bool:
@@ -158,6 +171,12 @@ def compare(baseline: dict, fresh: dict):
                 lines.append(f"ADVISORY: {kind} metric '{name}' moved "
                              f"{base_value:g} -> {fresh_value:g} "
                              f"({change:+.1%}); not gating")
+            continue
+        if is_exact(name):
+            if fresh_value != base_value:
+                lines.append(f"FAILURE: exact metric '{name}' changed "
+                             f"{base_value:g} -> {fresh_value:g}")
+                failures += 1
             continue
         if base_value != 0.0 and fresh_value == 0.0 and \
                 not higher_is_better(name):
@@ -300,6 +319,26 @@ SELF_TEST_FIXTURES = [
      {"metrics": {"online_solved_online-poisson": 15}},
      {"metrics": {"online_solved_online-poisson": 9}},
      1, 0, ["FAILURE: metric 'online_solved_online-poisson'"]),
+    ("exact_bound_rise_by_one_fails",
+     {"metrics": {"windowed_bound_short_n800": 420}},
+     {"metrics": {"windowed_bound_short_n800": 421}},
+     1, 0, ["FAILURE: exact metric 'windowed_bound_short_n800'"]),
+    ("exact_bound_drop_by_one_fails",
+     {"metrics": {"windowed_bound_mixed_n400": 230}},
+     {"metrics": {"windowed_bound_mixed_n400": 229}},
+     1, 0, ["FAILURE: exact metric 'windowed_bound_mixed_n400'"]),
+    ("exact_bound_unchanged_is_silent",
+     {"metrics": {"windowed_bound_mixed_n400": 230}},
+     {"metrics": {"windowed_bound_mixed_n400": 230}},
+     0, 0, []),
+    ("exact_bound_timing_stays_advisory",
+     {"metrics": {"windowed_bound_short_n800_ms": 400}},
+     {"metrics": {"windowed_bound_short_n800_ms": 90}},
+     0, 0, ["ADVISORY: timing metric 'windowed_bound_short_n800_ms'"]),
+    ("machine_capacity_facts_never_gate",
+     {"metrics": {"usable_cpus": 4, "parallel_capacity": 3.9}},
+     {"metrics": {"usable_cpus": 2, "parallel_capacity": 1.3}},
+     0, 0, ["ADVISORY: timing metric 'parallel_capacity'"]),
 ]
 
 
